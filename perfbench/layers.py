@@ -12,9 +12,10 @@ in a dict), so a wrapper is installed at *every* place the original
 object is reachable from a loaded ``repro`` module: module globals and
 module-level dicts, not only the defining module.
 
-Spans are timed in CPU seconds of the process, like the end-to-end
-metrics.  Self time of a span is its duration minus the time its child
-spans cover; a layer's self time is the sum over its callables.
+Spans are timed in wall seconds, so time a callable spends blocked on
+file I/O lands in its layer (the end-to-end metrics are CPU seconds).
+Self time of a span is its duration minus the time its child spans
+cover; a layer's self time is the sum over its callables.
 """
 
 from __future__ import annotations
@@ -157,13 +158,13 @@ class LayerTrace:
                 return fn(*args, **kwargs)
             index = len(trace.spans)
             parent = trace._stack[-1] if trace._stack else -1
-            span = [stem, time.process_time(), 0.0, parent]
+            span = [stem, time.perf_counter(), 0.0, parent]
             trace.spans.append(span)
             trace._stack.append(index)
             try:
                 result = fn(*args, **kwargs)
             finally:
-                span[2] = time.process_time()
+                span[2] = time.perf_counter()
                 trace._stack.pop()
             if after is not None:
                 after(args, result)

@@ -3,7 +3,7 @@
 Run from the root of a source checkout (the program is imported from
 ``src/``)::
 
-    python3 perfbench/run.py --workload energy-grid --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload energy-grid --seed 1 --seconds 10 --trace 0
     python3 perfbench/run.py --workload all --seed 1          # every workload
 
 Each workload runs in its own fresh interpreter with BLAS/OpenMP pinned
@@ -100,7 +100,13 @@ def launch(args: list[str], root, deadline: float) -> tuple[dict, float]:
 
 
 def run_workload(name, seed, seconds, trace, root, deadline) -> dict:
-    """One workload run: set-up probes, then the measured launch."""
+    """One workload run: set-up probes, then the measured launch.
+
+    A traced run instead brackets its traced launch with two launches
+    that each time one untraced cold pass; ``trace.overhead_ratio``
+    compares the traced cold pass with their median.  All three start
+    from a fresh process, so their caches are in the same state.
+    """
     work_dir = root / ".perfbench"
     tmp_root = work_dir / "tmp"
     tmp_root.mkdir(parents=True, exist_ok=True)
@@ -111,18 +117,39 @@ def run_workload(name, seed, seconds, trace, root, deadline) -> dict:
             str(seconds), "--trace", str(trace), "--scratch", scratch,
             "--trace-out", str(trace_out)]
     try:
-        setups, setup_walls = [], []
+        setups, setup_walls, untraced = [], [], []
         for _ in range(0 if trace else SETUP_PROBES):
             out, started = launch(base + ["--setup-only"], root, deadline)
             setups.append(out["ready_cpu_s"])
             setup_walls.append(out["ready"] - started)
+        if trace:
+            untraced.append(launch(base + ["--untraced-cold"], root,
+                                   deadline)[0])
         out, started = launch(base, root, deadline)
         setups.append(out["ready_cpu_s"])
         setup_walls.append(out["ready"] - started)
+        if trace:
+            untraced.append(launch(base + ["--untraced-cold"], root,
+                                   deadline)[0])
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     metrics = out["metrics"]
-    if not trace:
+    if trace:
+        for extra in untraced:
+            out["attempted"] += extra["attempted"]
+            out["failed"] += extra["failed"]
+            out["errors"] += extra["errors"]
+        out["correct"] = out["correct"] and out["failed"] == 0
+        traced_cold = metrics.pop("traced_cold_s")["value"]
+        baseline = statistics.median(e["metrics"]["cold_s"]["value"]
+                                     for e in untraced)
+        metrics["trace.overhead_ratio"] = {
+            "value": traced_cold / baseline - 1.0, "unit": "1"}
+        metrics["fail_ratio"] = {
+            "value": out["failed"] / max(1, out["attempted"]), "unit": "1"}
+        out["untraced_cold_s"] = [e["metrics"]["cold_s"]["value"]
+                                  for e in untraced]
+    else:
         metrics = {"setup_s": {"value": statistics.median(setups),
                                "unit": "s"}, **metrics}
         out["wall_metrics"]["setup_s"] = statistics.median(setup_walls)
@@ -141,7 +168,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -170,7 +197,7 @@ def main(argv=None) -> int:
         (out_dir / f"{name}-seed{args.seed}-trace{args.trace}.json"
          ).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
         print(json.dumps({"workload": name, "stamp": stamp,
-                          "env": result["env"], "passes": result["passes"],
+                          "env": result["env"],
                           "problems": result["problems"]}))
 
     if len(names) == 1:

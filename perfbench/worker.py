@@ -47,7 +47,7 @@ WARMUP_TRIALS = 2
 
 
 def pass_seed(seed: int, index: int) -> int:
-    """The campaign seed of pass ``index`` of a run with ``seed``."""
+    """Campaign seed number ``index`` derived from the run's ``seed``."""
     state = np.random.SeedSequence([seed, index]).generate_state(1)
     return int(state[0])
 
@@ -75,11 +75,11 @@ class Ops:
 class Timer:
     """CPU and wall seconds summed over the ``with`` blocks it times.
 
-    Metrics use CPU seconds of this process: the workload is
-    single-threaded (BLAS pinned to one thread), so on a quiet machine
-    they equal wall seconds, while on a shared VM wall time also holds
-    the time neighbours steal (5-50 % on a shared 2-core VM), which no
-    code change controls.  Wall seconds are kept in the result file.
+    Metrics use CPU seconds of this process (user and system time, so
+    the kernel's share of file I/O counts): the workload is
+    single-threaded.  Wall seconds, which add the time the process
+    waited on the disk or on the machine, are kept in the result file;
+    their difference is ``off_cpu`` in the traced run.
     """
 
     def __init__(self) -> None:
@@ -94,6 +94,10 @@ class Timer:
         self.cpu += time.process_time() - self._start[0]
         self.wall += time.perf_counter() - self._start[1]
 
+    @property
+    def off_cpu(self) -> float:
+        return self.wall - self.cpu
+
 
 def canonical(records) -> str:
     """Exact text of records (``repr``-precision floats, sorted keys)."""
@@ -107,17 +111,22 @@ def canonical(records) -> str:
 class Bench:
     """Set-up state and the timed segments of one workload run."""
 
-    def __init__(self, workload, seed: int, scratch: str, passes: int):
+    def __init__(self, workload, seed: int, scratch: str):
         self.workload = workload
         self.scratch = scratch
         self.ops = Ops()
         self.campaign = workload.campaign()
-        self.seeds = [pass_seed(seed, i) for i in range(passes)]
-        self.units = {s: self.campaign.units(seed=s) for s in self.seeds}
+        self.run_seed = seed
+        self.use_pass(0)
         self.stop_rule = None
         self.cold_bytes: dict[str, bytes] = {}
         self.cold_tables: dict[str, object] = {}
         self.warm_up(pass_seed(seed, 1_000_000))
+
+    def use_pass(self, index: int) -> None:
+        """Make pass ``index``'s campaign seed and units the current ones."""
+        self.seed = pass_seed(self.run_seed, index)
+        self.units = self.campaign.units(seed=self.seed)
 
     def warm_up(self, seed: int) -> None:
         """One untimed vectorized unit per trial kind, outside any store.
@@ -126,7 +135,7 @@ class Bench:
         builds before the first timed pass.
         """
         first = {}
-        for unit in self.units[self.seeds[0]]:
+        for unit in self.units:
             first.setdefault(unit.kind, unit)
         for kind, unit in first.items():
             ExperimentRunner(
@@ -134,7 +143,7 @@ class Bench:
                 backend="vectorized",
             ).run(unit.spec, seed=seed)
 
-    # -- cold passes ---------------------------------------------------------
+    # -- cold pass -----------------------------------------------------------
 
     def new_runner(self):
         root = tempfile.mkdtemp(prefix="store-", dir=self.scratch)
@@ -142,17 +151,16 @@ class Bench:
             store=ResultStore(root), backend="vectorized"
         )
 
-    def cold_pass(self, seed: int):
+    def cold_pass(self):
         """``(runner, Timer, trials computed)`` of one cold pass."""
         runner = self.new_runner()
-        units = self.units[seed]
         timer = Timer()
         gc.collect()
         try:
             with timer:
-                result = runner.run(self.campaign, seed=seed)
+                result = runner.run(self.campaign, seed=self.seed)
         except Exception:
-            for unit in units:
+            for unit in self.units:
                 self.ops.attempted += 1
                 self.ops.fail(f"cold {unit.label()}", traceback.format_exc())
             return runner, timer, 0
@@ -167,7 +175,7 @@ class Bench:
             self.ops.check(f"cold {unit.label()}", ok)
             self.cold_bytes[out.key.digest] = encode(out.table)
             self.cold_tables[unit.label()] = out.table
-        missing = len(units) - len(result.units)
+        missing = len(self.units) - len(result.units)
         for _ in range(missing):
             self.ops.attempted += 1
             self.ops.fail("cold", "unit missing from the run result")
@@ -191,11 +199,11 @@ class Bench:
             )
         return ExperimentRunner(trial=trial, max_trials=n)
 
-    def serial_segment(self, seed: int) -> tuple[Timer, list]:
-        """Timer and ``(unit, table)`` pairs of one pass's serial re-runs."""
+    def serial_segment(self) -> tuple[Timer, list]:
+        """Timer and ``(unit, table)`` pairs of the serial re-runs."""
         timer = Timer()
         runs = []
-        for unit in self.units[seed]:
+        for unit in self.units:
             if not self.workload.serial_units(unit):
                 continue
             runner = self.serial_runner(unit)
@@ -239,7 +247,7 @@ class Bench:
 
     # -- warm passes and reports ---------------------------------------------
 
-    def warm_sample(self, runner, seed: int, reps: int) -> Timer:
+    def warm_sample(self, runner, reps: int) -> Timer:
         """Timer of ``reps`` warm passes (every unit a store hit)."""
         results = []
         timer = Timer()
@@ -247,12 +255,12 @@ class Bench:
         with timer:
             for _ in range(reps):
                 try:
-                    results.append(runner.run(self.campaign, seed=seed))
+                    results.append(runner.run(self.campaign, seed=self.seed))
                 except Exception:
                     results.append(traceback.format_exc())
         for result in results:
             if isinstance(result, str):
-                for unit in self.units[seed]:
+                for unit in self.units:
                     self.ops.attempted += 1
                     self.ops.fail(f"warm {unit.label()}", result)
                 continue
@@ -266,13 +274,13 @@ class Bench:
                 self.ops.check(f"warm {unit.label()}", ok)
         return timer
 
-    def report_bytes(self, runner, seed: int) -> str:
-        tables = runner.report(self.campaign, seed=seed)
+    def report_bytes(self, runner) -> str:
+        tables = runner.report(self.campaign, seed=self.seed)
         return "\n".join(
             kind + "\n" + tables[kind].to_json() for kind in sorted(tables)
         )
 
-    def report_sample(self, runner, seed: int, reps: int, first) -> Timer:
+    def report_sample(self, runner, reps: int, first) -> Timer:
         """Timer of ``reps`` reports; each is checked against ``first``."""
         outputs = []
         timer = Timer()
@@ -280,7 +288,7 @@ class Bench:
         with timer:
             for _ in range(reps):
                 try:
-                    outputs.append((self.report_bytes(runner, seed), None))
+                    outputs.append((self.report_bytes(runner), None))
                 except Exception:
                     outputs.append((None, traceback.format_exc()))
         for out, error in outputs:
@@ -290,54 +298,46 @@ class Bench:
             )
         return timer
 
-    def first_report(self, runner, seed: int):
+    def first_report(self, runner):
         try:
-            return self.report_bytes(runner, seed)
+            return self.report_bytes(runner)
         except Exception:
             self.ops.attempted += 1
             self.ops.fail("report", traceback.format_exc())
             return None
 
 
-def timed_run(bench: Bench) -> tuple[dict, dict]:
+def timed_run(bench: Bench, seconds: float) -> tuple[dict, dict]:
     """End-to-end metrics (tracing off), and their wall-clock twins."""
     work = bench.workload
-    cold, serial = Timer(), Timer()
-    cold_trials = serial_trials = 0
-    runner = None
-    for seed in bench.seeds:
-        if runner is not None:
-            bench.drop(runner)
-        runner, timer, trials = bench.cold_pass(seed)
-        cold.cpu += timer.cpu
-        cold.wall += timer.wall
+    runner, cold, cold_trials = bench.cold_pass()
+    serial, runs = bench.serial_segment()
+    serial_trials = bench.check_serial(runs)
+    for index in range(1, work.cold_passes):
+        bench.drop(runner)
+        bench.use_pass(index)
+        runner, more, trials = bench.cold_pass()
+        cold.cpu += more.cpu
+        cold.wall += more.wall
         cold_trials += trials
-        timer, runs = bench.serial_segment(seed)
-        serial.cpu += timer.cpu
-        serial.wall += timer.wall
-        serial_trials += bench.check_serial(runs)
-    seed = bench.seeds[-1]
-    first = bench.first_report(runner, seed)
+    first = bench.first_report(runner)
     warm, report = [], []
-    for _ in range(work.rounds):
-        warm.append(bench.warm_sample(runner, seed, work.warm_reps))
-        report.extend(
-            bench.report_sample(runner, seed, work.report_reps, first)
-            for _ in range(work.report_samples)
-        )
+    for _ in range(work.rounds(seconds)):
+        warm.append(bench.warm_sample(runner, work.warm_reps))
+        report.append(bench.report_sample(runner, work.report_reps, first))
     bench.drop(runner)
 
     def measured(clock: str) -> dict:
-        def seconds(timer: Timer) -> float:
+        def spent(timer: Timer) -> float:
             return getattr(timer, clock)
 
         return {
-            "trials_per_s": (cold_trials / seconds(cold), "1/s"),
-            "serial_trials_per_s": (serial_trials / seconds(serial), "1/s"),
+            "trials_per_s": (cold_trials / spent(cold), "1/s"),
+            "serial_trials_per_s": (serial_trials / spent(serial), "1/s"),
             "warm_s": (statistics.median(
-                seconds(t) / work.warm_reps for t in warm), "s"),
+                spent(t) / work.warm_reps for t in warm), "s"),
             "report_s": (statistics.median(
-                seconds(t) / work.report_reps for t in report), "s"),
+                spent(t) / work.report_reps for t in report), "s"),
         }
 
     metrics = measured("cpu")
@@ -345,32 +345,38 @@ def timed_run(bench: Bench) -> tuple[dict, dict]:
     return metrics, measured("wall")
 
 
-def traced_run(bench: Bench, trace_path: str) -> tuple[dict, list[str]]:
-    """One traced pass (cold, serial, warm, report), then an untraced one.
+def untraced_cold_s(bench: Bench) -> float:
+    """CPU seconds of one untraced cold pass on a fresh store."""
+    runner, timer, _ = bench.cold_pass()
+    bench.drop(runner)
+    return timer.cpu
 
-    Returns the per-layer metrics and the coverage problems found.
+
+def traced_run(bench: Bench, trace_path: str) -> tuple[dict, list[str]]:
+    """One traced pass: cold pass, serial segment, warm pass, report.
+
+    Returns the per-layer metrics and the coverage problems found.  The
+    traced cold pass's CPU seconds are returned as ``traced_cold_s``;
+    ``run.py`` divides them by untraced cold passes made in fresh
+    processes, which see the same cache state.
     """
     trace = LayerTrace()
     trace.install()
     bench.stop_rule = lambda stop: trace.wrap("experiments.stop_rule", stop)
-    seed = bench.seeds[0]
     with trace.recording("cold"):
-        runner, traced_cold, _ = bench.cold_pass(seed)
+        runner, traced_cold, _ = bench.cold_pass()
     with trace.recording("serial"):
-        serial, runs = bench.serial_segment(seed)
+        serial, runs = bench.serial_segment()
     bench.check_serial(runs)
     with trace.recording("warm"):
-        warm = bench.warm_sample(runner, seed, 1)
-    first = bench.first_report(runner, seed)
+        warm = bench.warm_sample(runner, 1)
+    first = bench.first_report(runner)
     with trace.recording("report"):
-        report = bench.report_sample(runner, seed, 1, first)
+        report = bench.report_sample(runner, 1, first)
     trace.uninstall()
     bench.stop_rule = None
     bench.drop(runner)
-    traced_cpu = sum(t.cpu for t in (traced_cold, serial, warm, report))
-
-    runner, untraced_cold, _ = bench.cold_pass(seed)
-    bench.drop(runner)
+    traced_wall = sum(t.wall for t in (traced_cold, serial, warm, report))
     trace.dump(trace_path)
 
     stats = trace.self_times()
@@ -383,7 +389,7 @@ def traced_run(bench: Bench, trace_path: str) -> tuple[dict, list[str]]:
         layer_self[LAYER_OF[stem]] += busy
     for layer, busy in layer_self.items():
         metrics[f"{layer}.self_s"] = (busy, "s")
-    metrics["other.self_s"] = (traced_cpu - sum(layer_self.values()), "s")
+    metrics["other.self_s"] = (traced_wall - sum(layer_self.values()), "s")
     metrics["phy.sync.found"] = (trace.sync_found, "count")
     chunks = stats["mac.batch.run_chunk"][0]
     metrics["mac.lanes_per_chunk"] = (
@@ -391,12 +397,9 @@ def traced_run(bench: Bench, trace_path: str) -> tuple[dict, list[str]]:
     )
     metrics["store.hit_ratio"] = (trace.hit_ratio("warm"), "1")
     metrics["store.cold_hit_ratio"] = (trace.hit_ratio("cold"), "1")
-    metrics["trace.overhead_ratio"] = (
-        traced_cold.cpu / untraced_cold.cpu - 1.0, "1"
-    )
-    metrics["fail_ratio"] = (
-        bench.ops.failed / max(1, bench.ops.attempted), "1"
-    )
+    metrics["cold_pass.off_cpu_s"] = (traced_cold.off_cpu, "s")
+    metrics["warm_pass.off_cpu_s"] = (warm.off_cpu, "s")
+    metrics["traced_cold_s"] = (traced_cold.cpu, "s")
     return metrics, coverage_problems(bench.workload, stats, trace)
 
 
@@ -455,19 +458,21 @@ def main(argv=None) -> int:
     parser.add_argument("--scratch", required=True)
     parser.add_argument("--trace-out", default=None)
     parser.add_argument("--setup-only", action="store_true")
+    parser.add_argument("--untraced-cold", action="store_true",
+                        help="set up, then time one untraced cold pass")
     args = parser.parse_args(argv)
 
-    workload = WORKLOADS[args.workload]
-    passes = 1 if args.trace else workload.cold_passes(args.seconds)
-    bench = Bench(workload, args.seed, args.scratch, passes)
-    out = {"ready_cpu_s": time.process_time(), "ready": time.monotonic()}
+    bench = Bench(WORKLOADS[args.workload], args.seed, args.scratch)
+    out = {"ready": time.monotonic(), "ready_cpu_s": time.process_time()}
     if not args.setup_only:
         wall: dict = {}
         problems: list[str] = []
-        if args.trace:
+        if args.untraced_cold:
+            metrics = {"cold_s": (untraced_cold_s(bench), "s")}
+        elif args.trace:
             metrics, problems = traced_run(bench, args.trace_out)
         else:
-            metrics, wall = timed_run(bench)
+            metrics, wall = timed_run(bench, args.seconds)
         out.update(
             correct=bench.ops.failed == 0 and not problems,
             attempted=bench.ops.attempted,
@@ -476,8 +481,6 @@ def main(argv=None) -> int:
             wall_metrics={k: v for k, (v, _) in wall.items()},
             problems=problems,
             errors=bench.ops.errors,
-            passes=len(bench.seeds),
-            pass_seeds=bench.seeds,
             env=environment(),
         )
     print(json.dumps(out))

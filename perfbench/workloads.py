@@ -2,9 +2,11 @@
 
 Every workload is a campaign run by ``CampaignRunner`` on the
 vectorized backend, plus a serial segment on a fixed subset of its
-units, plus warm passes and reports on the filled store.  The amounts
-are fixed by ``--seconds`` alone, so every run of one workload does the
-same work whatever the machine's speed.
+units, plus warm passes and reports on the filled store.  The cold
+passes and the serial segment are fixed units of work; ``--seconds``
+sets how many rounds of warm and report samples follow them.  The amounts depend
+on ``--seconds`` alone, so every run of one workload does the same work
+whatever the machine's speed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from typing import Callable
 #: Tag separations [m] and source distances [m] of the 300-unit grid.
 GRID_DISTANCES_M = tuple(round(0.1 * i, 1) for i in range(1, 21))
 GRID_SOURCE_DISTANCES_M = tuple(float(d) for d in range(200, 3001, 200))
+
+#: Fewest warm/report sample rounds a run takes, whatever ``--seconds``.
+MIN_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -27,22 +32,26 @@ class Workload:
         Identification and the one-line reason it exists.
     campaign:
         Zero-argument factory of the ``CampaignSpec`` run by each pass.
-    pass_s:
-        Nominal seconds of one cold pass; cold passes fill 60 % of
-        ``--seconds`` at this rate, at least one.
+    cold_passes:
+        Cold passes per run, pass ``i`` with campaign seed
+        ``SeedSequence([seed, i])``; ``trials_per_s`` is taken over all
+        of them.  More than one where a single pass lasts only seconds,
+        so the cold-pass time spans more of the machine's swings.
     serial_units:
-        Predicate picking the units the serial segment re-runs.
+        Predicate picking the units the serial segment re-runs (those
+        of the first pass).
     serial_trials:
         Trial ceiling of a serial unit (``None``: the unit's budget).
         BER units run ``repro ber``'s defaults: 15 trials at most, an
         error budget of 20, at least 5 trials.
     warm_reps / report_reps:
         Warm passes / reports timed together as one sample of about
-        0.25 s of CPU or more; single millisecond timings do not repeat.
-    rounds / report_samples:
-        A run takes ``rounds`` warm samples, each followed by
-        ``report_samples`` report samples, so both sample the same
-        stretch of time; the median of each kind is reported.
+        1 s or more; single millisecond timings do not repeat.
+    round_s:
+        Nominal seconds of one round: a warm sample, then a report
+        sample, so both kinds sample the same stretch of time.  A run
+        takes as many rounds as fit in ``--seconds``, at least
+        ``MIN_ROUNDS``; the median sample of each kind is reported.
     fires / bypasses:
         Layer-trace stems that must record at least one call / exactly
         zero calls in a traced run of this workload.
@@ -51,18 +60,17 @@ class Workload:
     name: str
     why: str
     campaign: Callable
-    pass_s: float
+    cold_passes: int
     serial_units: Callable
     serial_trials: int | None
     warm_reps: int
     report_reps: int
-    rounds: int
-    report_samples: int
+    round_s: float
     fires: tuple = ()
     bypasses: tuple = ()
 
-    def cold_passes(self, seconds: float) -> int:
-        return max(1, int(0.6 * seconds // self.pass_s))
+    def rounds(self, seconds: float) -> int:
+        return max(MIN_ROUNDS, int(seconds // self.round_s))
 
 
 def _builtin(name: str) -> Callable:
@@ -131,13 +139,12 @@ WORKLOADS = {
             why="fig-energy-vs-range: framed exchange whose per-lane "
             "preamble sync dominates; stresses phy.sync, dsp, hardware",
             campaign=_builtin("fig-energy-vs-range"),
-            pass_s=20.5,
+            cold_passes=1,
             serial_units=lambda u: _point(u)["distance_m"] in (1.0, 2.5),
             serial_trials=8,
-            warm_reps=40,
-            report_reps=80,
-            rounds=9,
-            report_samples=1,
+            warm_reps=160,
+            report_reps=280,
+            round_s=2.2,
             fires=_COMMON + _STAGING + (
                 "fullduplex.run", "phy.sync", "phy.receive_frame",
                 "phy.transmit", "dsp.normalized_correlation",
@@ -151,13 +158,12 @@ WORKLOADS = {
             why="fig-goodput-vs-load: MAC only, 5-lane chunks where the "
             "slot loop's per-slot overhead dominates; no PHY at all",
             campaign=_builtin("fig-goodput-vs-load"),
-            pass_s=5.8,
+            cold_passes=2,
             serial_units=lambda u: True,
             serial_trials=None,
-            warm_reps=12,
-            report_reps=30,
-            rounds=15,
-            report_samples=1,
+            warm_reps=50,
+            report_reps=110,
+            round_s=2.2,
             fires=_COMMON + _MAC_STEMS + ("experiments.batch_mac_trials",),
             bypasses=_PHY_STEMS,
         ),
@@ -166,14 +172,13 @@ WORKLOADS = {
             why="300-unit forward-BER grid at 2 trials a unit: store, "
             "checkpoint and campaign layers do the work; 2-lane chunks",
             campaign=_grid_300,
-            pass_s=11.5,
+            cold_passes=1,
             serial_units=lambda u: _point(u)["distance_m"] in (1.9, 2.0)
             and _point(u)["source_distance_m"] in (1000.0, 2000.0),
             serial_trials=15,
             warm_reps=1,
-            report_reps=3,
-            rounds=3,
-            report_samples=3,
+            report_reps=6,
+            round_s=3.2,
             fires=_COMMON + _STAGING + (
                 "fullduplex.decode_aligned_bits", "fullduplex.run_raw_bits",
                 "phy.encode_batch", "experiments.batch_forward_ber_trials",
