@@ -6,8 +6,9 @@ Run from the root of a source checkout (the program is imported from
     python3 perfbench/run.py --workload energy-grid --seed 1 --seconds 10 --trace 0
     python3 perfbench/run.py --workload all --seed 1          # every workload
 
-Each workload runs in its own fresh interpreter with BLAS/OpenMP pinned
-to one thread.  With ``--trace 0`` the last stdout line is one JSON
+Each workload runs in fresh interpreters (a set-up probe, the cold
+passes, then rounds of serial, warm and report samples) with BLAS/OpenMP
+pinned to one thread.  With ``--trace 0`` the last stdout line is one JSON
 object with the end-to-end metrics; with ``--trace 1`` it carries the
 per-layer metrics of a traced pass.  See ``perfbench/README.md``.
 """
@@ -31,9 +32,9 @@ sys.path.insert(0, str(HERE))
 
 from workloads import WORKLOADS  # noqa: E402
 
-#: Set-up-only launches before the measured one; ``setup_s`` is the
+#: Set-up-only launches before the measured ones; ``setup_s`` is the
 #: median over all launches of the run.
-SETUP_PROBES = 2
+SETUP_PROBES = 1
 
 #: Every run (all launches) must end within this many seconds.
 RUN_DEADLINE_S = 170.0
@@ -100,7 +101,12 @@ def launch(args: list[str], root, deadline: float) -> tuple[dict, float]:
 
 
 def run_workload(name, seed, seconds, trace, root, deadline) -> dict:
-    """One workload run: set-up probes, then the measured launch.
+    """One workload run: a set-up probe, then the measured launches.
+
+    A timed run measures in two launches: one makes the cold passes,
+    the next times rounds of serial, warm and report samples on the
+    store the first one left, as a user's later ``repro`` invocation
+    would find it.  Every launch also gives a set-up sample.
 
     A traced run instead brackets its traced launch with two launches
     that each time one untraced cold pass; ``trace.overhead_ratio``
@@ -125,12 +131,21 @@ def run_workload(name, seed, seconds, trace, root, deadline) -> dict:
         if trace:
             untraced.append(launch(base + ["--untraced-cold"], root,
                                    deadline)[0])
-        out, started = launch(base, root, deadline)
-        setups.append(out["ready_cpu_s"])
-        setup_walls.append(out["ready"] - started)
-        if trace:
+            out, started = launch(base, root, deadline)
+            setups.append(out["ready_cpu_s"])
+            setup_walls.append(out["ready"] - started)
             untraced.append(launch(base + ["--untraced-cold"], root,
                                    deadline)[0])
+        else:
+            parts = []
+            for phase in ("cold", "rounds"):
+                part, started = launch(
+                    base + ["--phase", phase, "--handoff", scratch], root,
+                    deadline)
+                setups.append(part["ready_cpu_s"])
+                setup_walls.append(part["ready"] - started)
+                parts.append(part)
+            out = merge(parts)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     metrics = out["metrics"]
@@ -158,6 +173,19 @@ def run_workload(name, seed, seconds, trace, root, deadline) -> dict:
             raise BenchError(f"worker did not report {missing}")
     out["metrics"] = metrics
     out["setup_samples_s"] = {"cpu": setups, "wall": setup_walls}
+    return out
+
+
+def merge(parts: list[dict]) -> dict:
+    """One result from the cold and rounds launches of a timed run."""
+    out = dict(parts[-1])
+    out["correct"] = all(p["correct"] for p in parts)
+    for key in ("attempted", "failed"):
+        out[key] = sum(p[key] for p in parts)
+    for key in ("errors", "problems"):
+        out[key] = [e for p in parts for e in p[key]]
+    for key in ("metrics", "wall_metrics", "samples"):
+        out[key] = {k: v for p in parts for k, v in p[key].items()}
     return out
 
 

@@ -1,4 +1,4 @@
-"""Run one benchmark workload in this (fresh) process.
+"""Run one part of a benchmark workload in this (fresh) process.
 
 Launched by ``run.py``; not meant to be run by hand.  Prints one JSON
 object as its last stdout line.  Set-up is imports, campaign expansion
@@ -6,12 +6,19 @@ and one untimed warm-up unit per trial kind; ``ready_cpu_s`` is this
 process's CPU time when it ends (interpreter start-up included) and
 ``ready`` the ``time.monotonic()`` reading then, from which ``run.py``
 subtracts its own reading taken just before the launch.
+
+A timed run is two launches that share a hand-off directory: ``--phase
+cold`` makes the cold passes and leaves the last pass's store there
+with a digest of every cold table; ``--phase rounds`` then times
+serial, warm and report samples against that store, the way a user's
+later ``repro campaign run`` and ``report`` invocations find it.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import resource
@@ -99,6 +106,11 @@ class Timer:
         return self.wall - self.cpu
 
 
+def digest_of(table) -> str:
+    """sha256 of a table's store codec bytes."""
+    return hashlib.sha256(encode(table)).hexdigest()
+
+
 def canonical(records) -> str:
     """Exact text of records (``repr``-precision floats, sorted keys)."""
     return json.dumps(
@@ -119,8 +131,9 @@ class Bench:
         self.run_seed = seed
         self.use_pass(0)
         self.stop_rule = None
-        self.cold_bytes: dict[str, bytes] = {}
+        self.cold_digests: dict[str, str] = {}
         self.cold_tables: dict[str, object] = {}
+        self.prefixes: dict[tuple[str, int], list[dict]] = {}
         self.warm_up(pass_seed(seed, 1_000_000))
 
     def use_pass(self, index: int) -> None:
@@ -145,15 +158,18 @@ class Bench:
 
     # -- cold pass -----------------------------------------------------------
 
-    def new_runner(self):
-        root = tempfile.mkdtemp(prefix="store-", dir=self.scratch)
+    def new_runner(self, root: str | None = None):
+        """Campaign runner on the store at ``root`` (a new one if None)."""
+        if root is None:
+            root = tempfile.mkdtemp(prefix="store-", dir=self.scratch)
         return CampaignRunner(
             store=ResultStore(root), backend="vectorized"
         )
 
-    def cold_pass(self):
-        """``(runner, Timer, trials computed)`` of one cold pass."""
-        runner = self.new_runner()
+    def cold_pass(self, root: str | None = None):
+        """``(runner, Timer, trials computed)`` of one cold pass on an
+        empty store (at ``root``, or a new temporary one)."""
+        runner = self.new_runner(root)
         timer = Timer()
         gc.collect()
         try:
@@ -164,7 +180,7 @@ class Bench:
                 self.ops.attempted += 1
                 self.ops.fail(f"cold {unit.label()}", traceback.format_exc())
             return runner, timer, 0
-        self.cold_bytes.clear()
+        self.cold_digests.clear()
         self.cold_tables.clear()
         for unit, out in result.units:
             ok = (
@@ -173,7 +189,7 @@ class Bench:
                 and len(out.table) == unit.n_trials
             )
             self.ops.check(f"cold {unit.label()}", ok)
-            self.cold_bytes[out.key.digest] = encode(out.table)
+            self.cold_digests[out.key.digest] = digest_of(out.table)
             self.cold_tables[unit.label()] = out.table
         missing = len(self.units) - len(result.units)
         for _ in range(missing):
@@ -183,6 +199,27 @@ class Bench:
 
     def drop(self, runner) -> None:
         shutil.rmtree(runner.store.root, ignore_errors=True)
+
+    def adopt(self, runner, digests: dict[str, str]) -> None:
+        """Take the current pass's cold tables from ``runner``'s store,
+        filled by an earlier process whose cold tables had ``digests``.
+        Each stored table is checked against its digest."""
+        self.cold_digests = dict(digests)
+        self.cold_tables.clear()
+        for unit in self.units:
+            key = unit.key()
+            try:
+                table = runner.store.get(key)
+            except Exception:
+                self.ops.attempted += 1
+                self.ops.fail(f"stored {unit.label()}", traceback.format_exc())
+                continue
+            ok = table is not None and digest_of(table) == digests.get(
+                key.digest)
+            self.ops.check(f"stored {unit.label()}", ok,
+                           "stored table differs from the cold pass's")
+            if ok:
+                self.cold_tables[unit.label()] = table
 
     # -- serial segment ------------------------------------------------------
 
@@ -236,14 +273,18 @@ class Bench:
     def vectorized_prefix(self, unit, n: int) -> list[dict]:
         """First ``n`` vectorized records of ``unit``: from the cold
         pass when its budget covers them, else from an untimed
-        vectorized run (records do not depend on the budget)."""
+        vectorized run (records do not depend on the budget), made once
+        per unit and budget."""
         cold = self.cold_tables.get(unit.label())
         if cold is not None and len(cold) >= n:
             return cold.records[:n]
-        return ExperimentRunner(
-            trial=TRIAL_KINDS[unit.kind], max_trials=n,
-            backend="vectorized",
-        ).run(unit.spec, seed=unit.seed).records
+        key = (unit.label(), n)
+        if key not in self.prefixes:
+            self.prefixes[key] = ExperimentRunner(
+                trial=TRIAL_KINDS[unit.kind], max_trials=n,
+                backend="vectorized",
+            ).run(unit.spec, seed=unit.seed).records
+        return self.prefixes[key]
 
     # -- warm passes and reports ---------------------------------------------
 
@@ -268,8 +309,8 @@ class Bench:
                 ok = (
                     out.outcome == "hit"
                     and out.trials_computed == 0
-                    and encode(out.table)
-                    == self.cold_bytes.get(out.key.digest)
+                    and digest_of(out.table)
+                    == self.cold_digests.get(out.key.digest)
                 )
                 self.ops.check(f"warm {unit.label()}", ok)
         return timer
@@ -307,42 +348,77 @@ class Bench:
             return None
 
 
-def timed_run(bench: Bench, seconds: float) -> tuple[dict, dict]:
-    """End-to-end metrics (tracing off), and their wall-clock twins."""
+def cold_run(bench: Bench, handoff: str) -> tuple[dict, dict]:
+    """Cold-pass metrics (tracing off) and their wall-clock twins.
+
+    The last pass's store is left at ``<handoff>/store`` and its cold
+    tables' digests in ``<handoff>/cold.json`` for the rounds launch.
+    """
     work = bench.workload
-    runner, cold, cold_trials = bench.cold_pass()
-    serial, runs = bench.serial_segment()
-    serial_trials = bench.check_serial(runs)
-    for index in range(1, work.cold_passes):
-        bench.drop(runner)
+    cold, trials = Timer(), 0
+    for index in range(work.cold_passes):
+        last = index == work.cold_passes - 1
         bench.use_pass(index)
-        runner, more, trials = bench.cold_pass()
-        cold.cpu += more.cpu
-        cold.wall += more.wall
-        cold_trials += trials
+        runner, timer, computed = bench.cold_pass(
+            os.path.join(handoff, "store") if last else None)
+        if not last:
+            bench.drop(runner)
+        cold.cpu += timer.cpu
+        cold.wall += timer.wall
+        trials += computed
+    with open(os.path.join(handoff, "cold.json"), "w") as fh:
+        json.dump(bench.cold_digests, fh, sort_keys=True)
+    metrics = {"trials_per_s": (trials / cold.cpu, "1/s"),
+               "peak_rss_mb": (peak_rss_mb(), "MB")}
+    return metrics, {"trials_per_s": (trials / cold.wall, "1/s")}
+
+
+def rounds_run(bench: Bench, seconds: float,
+               handoff: str) -> tuple[dict, dict, dict]:
+    """Serial, warm and report metrics (tracing off), their wall-clock
+    twins, and the CPU-time samples each median was taken over.
+
+    Works on the store the cold launch left in ``handoff``.  Each round
+    times one serial segment, one warm sample and one report sample, so
+    all three kinds sample the whole stretch of the run, and the median
+    sample of each kind is reported.
+    """
+    work = bench.workload
+    bench.use_pass(work.cold_passes - 1)
+    runner = bench.new_runner(os.path.join(handoff, "store"))
+    try:
+        with open(os.path.join(handoff, "cold.json")) as fh:
+            digests = json.load(fh)
+    except (OSError, ValueError):
+        digests = {}
+    bench.adopt(runner, digests)
     first = bench.first_report(runner)
-    warm, report = [], []
+    serial, warm, report = [], [], []
     for _ in range(work.rounds(seconds)):
+        timer, runs = bench.serial_segment()
+        serial.append((timer, bench.check_serial(runs)))
         warm.append(bench.warm_sample(runner, work.warm_reps))
         report.append(bench.report_sample(runner, work.report_reps, first))
-    bench.drop(runner)
 
     def measured(clock: str) -> dict:
         def spent(timer: Timer) -> float:
             return getattr(timer, clock)
 
         return {
-            "trials_per_s": (cold_trials / spent(cold), "1/s"),
-            "serial_trials_per_s": (serial_trials / spent(serial), "1/s"),
+            "serial_trials_per_s": (statistics.median(
+                trials / spent(t) for t, trials in serial), "1/s"),
             "warm_s": (statistics.median(
                 spent(t) / work.warm_reps for t in warm), "s"),
             "report_s": (statistics.median(
                 spent(t) / work.report_reps for t in report), "s"),
         }
 
-    metrics = measured("cpu")
-    metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
-    return metrics, measured("wall")
+    samples = {
+        "serial_trials_per_s": [trials / t.cpu for t, trials in serial],
+        "warm_s": [t.cpu / work.warm_reps for t in warm],
+        "report_s": [t.cpu / work.report_reps for t in report],
+    }
+    return measured("cpu"), measured("wall"), samples
 
 
 def untraced_cold_s(bench: Bench) -> float:
@@ -457,28 +533,39 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scratch", required=True)
     parser.add_argument("--trace-out", default=None)
+    parser.add_argument("--handoff", default=None,
+                        help="directory shared by the cold and rounds phases")
+    parser.add_argument("--phase", choices=("cold", "rounds"), default=None)
     parser.add_argument("--setup-only", action="store_true")
     parser.add_argument("--untraced-cold", action="store_true",
                         help="set up, then time one untraced cold pass")
     args = parser.parse_args(argv)
+    timed = not (args.setup_only or args.untraced_cold or args.trace)
+    if timed and (args.phase is None or args.handoff is None):
+        parser.error("a timed run needs --phase and --handoff")
 
     bench = Bench(WORKLOADS[args.workload], args.seed, args.scratch)
     out = {"ready": time.monotonic(), "ready_cpu_s": time.process_time()}
     if not args.setup_only:
         wall: dict = {}
+        samples: dict = {}
         problems: list[str] = []
         if args.untraced_cold:
             metrics = {"cold_s": (untraced_cold_s(bench), "s")}
         elif args.trace:
             metrics, problems = traced_run(bench, args.trace_out)
+        elif args.phase == "cold":
+            metrics, wall = cold_run(bench, args.handoff)
         else:
-            metrics, wall = timed_run(bench, args.seconds)
+            metrics, wall, samples = rounds_run(bench, args.seconds,
+                                                args.handoff)
         out.update(
             correct=bench.ops.failed == 0 and not problems,
             attempted=bench.ops.attempted,
             failed=bench.ops.failed,
             metrics={k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
             wall_metrics={k: v for k, (v, _) in wall.items()},
+            samples=samples,
             problems=problems,
             errors=bench.ops.errors,
             env=environment(),

@@ -1,12 +1,12 @@
 """The three benchmark workloads and what each run of them does.
 
 Every workload is a campaign run by ``CampaignRunner`` on the
-vectorized backend, plus a serial segment on a fixed subset of its
-units, plus warm passes and reports on the filled store.  The cold
-passes and the serial segment are fixed units of work; ``--seconds``
-sets how many rounds of warm and report samples follow them.  The amounts depend
-on ``--seconds`` alone, so every run of one workload does the same work
-whatever the machine's speed.
+vectorized backend, then rounds of a serial segment on a fixed subset
+of its units, a warm sample and a report sample on the filled store.
+The cold passes are a fixed amount of work; ``--seconds`` sets how many
+rounds follow them.  The amounts depend on ``--seconds`` alone, so
+every run of one workload does the same work whatever the machine's
+speed.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from typing import Callable
 #: Tag separations [m] and source distances [m] of the 300-unit grid.
 GRID_DISTANCES_M = tuple(round(0.1 * i, 1) for i in range(1, 21))
 GRID_SOURCE_DISTANCES_M = tuple(float(d) for d in range(200, 3001, 200))
-
-#: Fewest warm/report sample rounds a run takes, whatever ``--seconds``.
-MIN_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -39,19 +36,22 @@ class Workload:
         so the cold-pass time spans more of the machine's swings.
     serial_units:
         Predicate picking the units the serial segment re-runs (those
-        of the first pass).
+        of the last cold pass), about 0.7-1.5 s of work.
     serial_trials:
         Trial ceiling of a serial unit (``None``: the unit's budget).
-        BER units run ``repro ber``'s defaults: 15 trials at most, an
-        error budget of 20, at least 5 trials.
+        BER units stop as ``repro ber`` does: an error budget of 20, at
+        least 5 trials.
     warm_reps / report_reps:
         Warm passes / reports timed together as one sample of about
-        1 s or more; single millisecond timings do not repeat.
+        0.5 s of CPU or more; single millisecond timings do not repeat,
+        and a warm sample, whose file writes make it the noisiest, is
+        the longest.
     round_s:
-        Nominal seconds of one round: a warm sample, then a report
-        sample, so both kinds sample the same stretch of time.  A run
-        takes as many rounds as fit in ``--seconds``, at least
-        ``MIN_ROUNDS``; the median sample of each kind is reported.
+        Nominal wall seconds of one round: a serial segment, a warm
+        sample, then a report sample, so all three kinds sample the
+        same stretches of time.  A run takes as many rounds as fit in
+        ``--seconds``, at least ``min_rounds``, enough that the median
+        sample of each kind is not decided by one slow stretch.
     fires / bypasses:
         Layer-trace stems that must record at least one call / exactly
         zero calls in a traced run of this workload.
@@ -66,11 +66,12 @@ class Workload:
     warm_reps: int
     report_reps: int
     round_s: float
+    min_rounds: int = 4
     fires: tuple = ()
     bypasses: tuple = ()
 
     def rounds(self, seconds: float) -> int:
-        return max(MIN_ROUNDS, int(seconds // self.round_s))
+        return max(self.min_rounds, int(seconds // self.round_s))
 
 
 def _builtin(name: str) -> Callable:
@@ -140,11 +141,11 @@ WORKLOADS = {
             "preamble sync dominates; stresses phy.sync, dsp, hardware",
             campaign=_builtin("fig-energy-vs-range"),
             cold_passes=1,
-            serial_units=lambda u: _point(u)["distance_m"] in (1.0, 2.5),
-            serial_trials=8,
-            warm_reps=160,
-            report_reps=280,
-            round_s=2.2,
+            serial_units=lambda u: _point(u)["distance_m"] == 2.5,
+            serial_trials=4,
+            warm_reps=120,
+            report_reps=120,
+            round_s=2.8,
             fires=_COMMON + _STAGING + (
                 "fullduplex.run", "phy.sync", "phy.receive_frame",
                 "phy.transmit", "dsp.normalized_correlation",
@@ -159,11 +160,12 @@ WORKLOADS = {
             "slot loop's per-slot overhead dominates; no PHY at all",
             campaign=_builtin("fig-goodput-vs-load"),
             cold_passes=2,
-            serial_units=lambda u: True,
+            serial_units=lambda u: _point(u)["mac_arrival_rate_pps"]
+            in (0.5, 1.0),
             serial_trials=None,
             warm_reps=50,
-            report_reps=110,
-            round_s=2.2,
+            report_reps=40,
+            round_s=3.4,
             fires=_COMMON + _MAC_STEMS + ("experiments.batch_mac_trials",),
             bypasses=_PHY_STEMS,
         ),
@@ -173,12 +175,13 @@ WORKLOADS = {
             "checkpoint and campaign layers do the work; 2-lane chunks",
             campaign=_grid_300,
             cold_passes=1,
-            serial_units=lambda u: _point(u)["distance_m"] in (1.9, 2.0)
-            and _point(u)["source_distance_m"] in (1000.0, 2000.0),
-            serial_trials=15,
+            serial_units=lambda u: _point(u)["distance_m"] == 1.9
+            and _point(u)["source_distance_m"] == 1000.0,
+            serial_trials=6,
             warm_reps=1,
-            report_reps=6,
-            round_s=3.2,
+            report_reps=8,
+            round_s=5.8,
+            min_rounds=3,
             fires=_COMMON + _STAGING + (
                 "fullduplex.decode_aligned_bits", "fullduplex.run_raw_bits",
                 "phy.encode_batch", "experiments.batch_forward_ber_trials",
