@@ -1,7 +1,8 @@
 """Spectral measurement helpers for ambient sources.
 
-Used by tests and by the link-budget bench to verify that a synthetic
-source actually has the bandwidth/coherence the receiver design assumes.
+The ambient tests use these as a measurement reference: they verify
+that a synthetic source actually has the bandwidth/coherence the
+receiver design assumes.
 """
 
 from __future__ import annotations

@@ -2,9 +2,6 @@
 
 * :mod:`repro.analysis.ber` — Monte-Carlo BER/PER measurement over the
   sample-level link;
-* :mod:`repro.analysis.montecarlo` — generic trial runners with error
-  budgets;
-* :mod:`repro.analysis.sweep` — parameter sweeps producing table rows;
 * :mod:`repro.analysis.contention` — pooled summaries of replicated MAC
   contention runs, with Wilson bounds on delivery;
 * :mod:`repro.analysis.theory` — closed-form references (Q function,
@@ -24,9 +21,7 @@ from repro.analysis.ber import (
     measure_frame_delivery,
 )
 from repro.analysis.contention import ContentionSummary, summarize_mac_table
-from repro.analysis.montecarlo import run_trials
-from repro.analysis.reporting import format_series, format_table
-from repro.analysis.sweep import Sweep1D, sweep1d
+from repro.analysis.reporting import format_table
 from repro.analysis.theory import (
     aloha_throughput,
     ook_envelope_ber,
@@ -42,11 +37,9 @@ from repro.analysis.throughput import (
 __all__ = [
     "BerEstimate",
     "ContentionSummary",
-    "Sweep1D",
     "aloha_throughput",
     "expected_energy_per_delivered_fd",
     "expected_energy_per_delivered_hd",
-    "format_series",
     "format_table",
     "goodput_ratio_fd_over_hd",
     "measure_feedback_ber",
@@ -54,8 +47,6 @@ __all__ = [
     "measure_frame_delivery",
     "ook_envelope_ber",
     "q_function",
-    "run_trials",
     "summarize_mac_table",
-    "sweep1d",
     "wilson_interval",
 ]

@@ -38,16 +38,3 @@ def format_table(headers: list[str], rows: list[tuple]) -> str:
                 parts.append(cell.ljust(widths[i]))
         lines.append("  ".join(parts))
     return "\n".join(lines)
-
-
-def format_series(name: str, xs, ys) -> str:
-    """A one-line-per-point series (``x -> y``) block with a title."""
-    lines = [name]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {_format_cell(x):>12}  ->  {_format_cell(y)}")
-    return "\n".join(lines)
-
-
-def format_sweep(sweep) -> str:
-    """Render a :class:`repro.analysis.sweep.Sweep1D` as a table."""
-    return format_table(sweep.header(), sweep.rows())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from repro.utils.validation import check_non_negative, check_probability
+from repro.utils.validation import check_non_negative
 
 
 def q_function(x: float) -> float:
@@ -113,8 +113,3 @@ def expected_abort_savings_fraction(
         if stop < packet_bits:
             total_saved += 1.0 - stop / packet_bits
     return total_saved / packet_bits
-
-
-def check_probability_valid(p: float) -> None:
-    """Raise unless ``p`` is a probability (re-exported convenience)."""
-    check_probability("p", p)

@@ -311,5 +311,8 @@ def _write_checkpoint(runner, result: AdaptiveRunResult) -> None:
     }
     _atomic_write(
         adaptive_checkpoint_path(runner, result.campaign),
-        json.dumps(state, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        (
+            json.dumps(state, indent=2, sort_keys=True, allow_nan=False)
+            + "\n"
+        ).encode(),
     )

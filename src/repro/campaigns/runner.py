@@ -212,10 +212,12 @@ class CampaignRunner:
                 state["completed"] = len(result.units)
                 _atomic_write(
                     self.checkpoint_path(campaign),
-                    json.dumps(
-                        state, indent=2, sort_keys=True, allow_nan=False
-                    )
-                    + "\n",
+                    (
+                        json.dumps(
+                            state, indent=2, sort_keys=True, allow_nan=False
+                        )
+                        + "\n"
+                    ).encode(),
                 )
                 if progress is not None:
                     progress(unit, outcome)

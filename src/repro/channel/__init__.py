@@ -26,7 +26,7 @@ from repro.channel.fading import (
 from repro.channel.geometry import Node, Scene
 from repro.channel.link import ChannelModel, LinkGains
 from repro.channel.mobility import Waypoint, WaypointMobility
-from repro.channel.noise import awgn, complex_awgn, noise_samples
+from repro.channel.noise import awgn, complex_awgn
 from repro.channel.pathloss import (
     FreeSpacePathLoss,
     LogDistancePathLoss,
@@ -52,5 +52,4 @@ __all__ = [
     "awgn",
     "complex_awgn",
     "make_fading",
-    "noise_samples",
 ]

@@ -25,11 +25,6 @@ def complex_awgn(count: int, power_watt: float, rng=None) -> np.ndarray:
     return sigma * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
 
 
-def noise_samples(count: int, power_watt: float, rng=None) -> np.ndarray:
-    """Alias of :func:`complex_awgn` (kept for API symmetry)."""
-    return complex_awgn(count, power_watt, rng)
-
-
 def awgn(x: np.ndarray, noise_power_watt: float, rng=None) -> np.ndarray:
     """Add complex AWGN of the given power to a waveform."""
     arr = np.asarray(x, dtype=complex)

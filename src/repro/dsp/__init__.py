@@ -2,10 +2,10 @@
 
 Everything an ultra-low-power backscatter receiver is allowed to do lives
 here: moving averages, single-pole RC smoothing, square-law envelope
-detection, adaptive threshold tracking, and the correlation / resampling
-helpers used by the framing layer.  These functions are deliberately simple
-— the HotNets 2013 receiver is an analog envelope detector followed by a
-comparator, and the models stay at that level of fidelity.
+detection, and the correlation / chip-expansion helpers used by the
+framing layer.  These functions are deliberately simple — the HotNets
+2013 receiver is an analog envelope detector followed by a comparator,
+and the models stay at that level of fidelity.
 """
 
 from repro.dsp.envelope import envelope_power, square_law_detector
@@ -21,28 +21,16 @@ from repro.dsp.ops import (
     repeat_samples,
     sliding_windows,
 )
-from repro.dsp.resample import hold_resample
-from repro.dsp.thresholds import (
-    AdaptiveThreshold,
-    FixedThreshold,
-    adaptive_threshold,
-    slice_bits,
-)
 
 __all__ = [
-    "AdaptiveThreshold",
-    "FixedThreshold",
-    "adaptive_threshold",
     "bit_errors",
     "decimate_mean",
     "envelope_power",
-    "hold_resample",
     "integrate_and_dump",
     "moving_average",
     "normalized_correlation",
     "repeat_samples",
     "single_pole_lowpass",
-    "slice_bits",
     "sliding_windows",
     "square_law_detector",
 ]

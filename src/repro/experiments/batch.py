@@ -44,10 +44,10 @@ from typing import Callable
 
 import numpy as np
 
-from repro import obs
 from repro.experiments.mac import mac_trial
 from repro.experiments.runner import (
     BITS_PER_TRIAL,
+    _cached_engine,
     _stack_for,
     energy_trial,
     feedback_ber_trial,
@@ -61,12 +61,6 @@ from repro.mac.batch import SlottedMacEngine
 from repro.phy import coding as lc
 from repro.utils.rng import ensure_rng, random_bits, spawn_rngs
 
-#: Upper bound on cached engines per process (each cache separately).
-#: A campaign grid can visit hundreds of distinct specs; every engine
-#: pins a built stack, so the caches evict least-recently-used entries
-#: past this cap instead of growing without limit.
-MAX_CACHED_ENGINES = 32
-
 #: Per-process LRU cache of batched PHY engines, keyed by the spec.
 _ENGINE_CACHE: OrderedDict[ScenarioSpec, BatchFullDuplexEngine] = (
     OrderedDict()
@@ -76,26 +70,6 @@ _ENGINE_CACHE: OrderedDict[ScenarioSpec, BatchFullDuplexEngine] = (
 _MAC_ENGINE_CACHE: OrderedDict[ScenarioSpec, SlottedMacEngine] = (
     OrderedDict()
 )
-
-
-def _cached_engine(
-    cache: OrderedDict, spec: ScenarioSpec, build: Callable,
-    label: str = "engine",
-):
-    """LRU lookup: build on miss, refresh on hit, evict past the cap."""
-    engine = cache.get(spec)
-    if engine is None:
-        with obs.span(f"batch.{label}.build"):
-            engine = build(spec)
-        cache[spec] = engine
-        obs.inc(f"batch.{label}.build")
-    else:
-        cache.move_to_end(spec)
-        obs.inc(f"batch.{label}.hit")
-    while len(cache) > MAX_CACHED_ENGINES:
-        cache.popitem(last=False)
-        obs.inc(f"batch.{label}.evict")
-    return engine
 
 
 def _engine_for(spec: ScenarioSpec) -> BatchFullDuplexEngine:
@@ -109,14 +83,14 @@ def _engine_for(spec: ScenarioSpec) -> BatchFullDuplexEngine:
         _ENGINE_CACHE,
         spec,
         lambda s: BatchFullDuplexEngine(link=_stack_for(s).link),
-        label="phy_engine",
+        label="batch.phy_engine",
     )
 
 
 def _mac_engine_for(spec: ScenarioSpec) -> SlottedMacEngine:
     """Build (or reuse) the slotted MAC engine for ``spec``."""
     return _cached_engine(
-        _MAC_ENGINE_CACHE, spec, SlottedMacEngine, label="mac_engine"
+        _MAC_ENGINE_CACHE, spec, SlottedMacEngine, label="batch.mac_engine"
     )
 
 

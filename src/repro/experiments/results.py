@@ -370,12 +370,3 @@ class ResultTable:
         writer.writerow(self.columns)
         writer.writerows(self.rows())
         return buf.getvalue()
-
-    @classmethod
-    def from_sweep(cls, sweep) -> "ResultTable":
-        """Adapt a :class:`repro.analysis.sweep.Sweep1D` (legacy shape)."""
-        table = cls(columns=sweep.header(),
-                    metadata={"parameter": sweep.parameter})
-        for row in sweep.rows():
-            table.append(dict(zip(table.columns, row)))
-        return table

@@ -34,6 +34,7 @@ runs on all three backends.
 from __future__ import annotations
 
 import multiprocessing
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,17 +46,46 @@ from repro.experiments.spec import ScenarioSpec, ScenarioStack
 from repro.utils.rng import ensure_rng, random_bits, spawn_rngs
 from repro.utils.validation import check_positive
 
-#: Per-process cache of built stacks, keyed by the (hashable) spec.
-_STACK_CACHE: dict[ScenarioSpec, ScenarioStack] = {}
+#: Upper bound on entries in each per-process spec-keyed cache (built
+#: stacks here, batched engines in :mod:`repro.experiments.batch`).  A
+#: campaign grid can visit hundreds of distinct specs; every entry pins
+#: sample-rate state, so the caches evict least-recently-used entries
+#: past this cap instead of growing without limit.
+MAX_CACHED_ENGINES = 32
+
+#: Per-process LRU cache of built stacks, keyed by the (hashable) spec.
+_STACK_CACHE: OrderedDict[ScenarioSpec, ScenarioStack] = OrderedDict()
+
+
+def _cached_engine(
+    cache: OrderedDict, spec: ScenarioSpec, build: Callable,
+    label: str = "engine",
+):
+    """LRU lookup: build on miss, refresh on hit, evict past the cap.
+
+    ``label`` names the obs span and counters (``<label>.build``,
+    ``.hit``, ``.evict``).
+    """
+    engine = cache.get(spec)
+    if engine is None:
+        with obs.span(f"{label}.build"):
+            engine = build(spec)
+        cache[spec] = engine
+        obs.inc(f"{label}.build")
+    else:
+        cache.move_to_end(spec)
+        obs.inc(f"{label}.hit")
+    while len(cache) > MAX_CACHED_ENGINES:
+        cache.popitem(last=False)
+        obs.inc(f"{label}.evict")
+    return engine
 
 
 def _stack_for(spec: ScenarioSpec) -> ScenarioStack:
     """Build (or reuse) the simulation stack for ``spec`` in this process."""
-    stack = _STACK_CACHE.get(spec)
-    if stack is None:
-        stack = spec.build()
-        _STACK_CACHE[spec] = stack
-    return stack
+    return _cached_engine(
+        _STACK_CACHE, spec, ScenarioSpec.build, label="runner.stack"
+    )
 
 
 def _invoke(args) -> dict:
@@ -330,7 +360,7 @@ class ExperimentRunner:
         for index in range(first_trial, self.max_trials):
             (child,) = root.spawn(1)
             records.append(_invoke((self.trial, spec, child, index)))
-            if self._stop_index(records) is not None:
+            if self._stop_index(records, len(records) - 1) is not None:
                 break
         return records
 
@@ -346,12 +376,13 @@ class ExperimentRunner:
                     (self.trial, spec, child, start + offset)
                     for offset, child in enumerate(root.spawn(count))
                 ]
+                checked = len(records)
                 with obs.span(
                     "runner.chunk", backend="parallel",
                     start=start, count=count,
                 ):
                     records.extend(pool.map(_invoke, batch))
-                stop = self._stop_index(records)
+                stop = self._stop_index(records, checked)
                 if stop is not None:
                     return records[:stop]
         return records
@@ -383,20 +414,27 @@ class ExperimentRunner:
                     f"batched trial returned {len(batch)} records for "
                     f"{count} seeds"
                 )
+            checked = len(records)
             records.extend(
                 {"trial": start + offset, **record}
                 for offset, record in enumerate(batch)
             )
-            stop = self._stop_index(records)
+            stop = self._stop_index(records, checked)
             if stop is not None:
                 return records[:stop]
         return records
 
-    def _stop_index(self, records: list[dict]) -> int | None:
-        """Earliest prefix length at which the stop rule fires, if any."""
+    def _stop_index(self, records: list[dict], checked: int) -> int | None:
+        """Earliest prefix length at which the stop rule fires, if any.
+
+        Only the prefixes longer than ``checked`` are evaluated: the
+        shorter ones were checked after an earlier trial or chunk, and a
+        stop rule is a pure function of its prefix, so re-checking them
+        could never fire.
+        """
         if self.stop_when is None:
             return None
-        for n in range(self.min_trials, len(records) + 1):
+        for n in range(max(self.min_trials, checked + 1), len(records) + 1):
             if self.stop_when(records[:n]):
                 return n
         return None

@@ -19,7 +19,6 @@ unit-testable in isolation.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -190,15 +189,3 @@ def packet_airtime_bits(payload_bits: int, overhead_bits: int) -> int:
     check_non_negative("payload_bits", payload_bits)
     check_non_negative("overhead_bits", overhead_bits)
     return payload_bits + overhead_bits
-
-
-def bits_to_seconds(bits: float, bit_rate_bps: float) -> float:
-    """Airtime of ``bits`` at a bit rate."""
-    check_positive("bit_rate_bps", bit_rate_bps)
-    return bits / bit_rate_bps
-
-
-def seconds_to_bits(seconds: float, bit_rate_bps: float) -> int:
-    """Bit periods elapsed in ``seconds`` (floor)."""
-    check_positive("bit_rate_bps", bit_rate_bps)
-    return int(math.floor(seconds * bit_rate_bps))

@@ -35,8 +35,3 @@ def preamble_template(coding: str, warmup: int = 8) -> np.ndarray:
     against the sliced receive stream.
     """
     return encode(default_preamble_bits(warmup), coding)
-
-
-def sync_word_template(coding: str) -> np.ndarray:
-    """Chip-level template of just the Barker-13 sync word."""
-    return encode(BARKER13_BITS, coding)

@@ -27,18 +27,22 @@ of each other, which the store exploits two ways:
   by computing only trials 500…1999 (the caller's job; the store just
   reports the best prefix via :meth:`ResultStore.best_prefix`).
 
-Writes are atomic (temp file + ``os.replace``) so a killed campaign
-never leaves a half-written table behind.  Reads are defensive: a
-truncated, corrupt or wrong-codec-version payload is **a logged cache
-miss, never an exception** — a damaged store entry costs a recompute,
-not a campaign crash, and the next ``put`` overwrites it.
+Writes are atomic (a per-writer temp file + ``os.replace``) so a killed
+campaign never leaves a half-written table behind, and two campaigns
+putting the same key concurrently each publish a whole table.  Reads
+are defensive: a truncated, corrupt or wrong-codec-version payload is
+**a logged cache miss, never an exception** — a damaged store entry
+costs a recompute, not a campaign crash, and the next ``put``
+overwrites it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import pathlib
+import tempfile
 
 from repro import obs
 from repro.experiments.results import ResultTable
@@ -67,18 +71,27 @@ def default_store_root() -> pathlib.Path:
     ).expanduser()
 
 
-def _atomic_write(path: pathlib.Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _atomic_write(path: pathlib.Path, blob: bytes) -> None:
+    """Publish ``blob`` at ``path`` via a temp file and ``os.replace``.
 
-
-def _atomic_write_bytes(path: pathlib.Path, blob: bytes) -> None:
+    Every call stages into its own uniquely named temp file beside
+    ``path`` (``.tmp`` suffix, so the budget scan skips it), so two
+    writers of one key never share a temp file: each replace publishes
+    a complete payload and the last one wins.  The temp file is removed
+    if the write or the replace fails.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 class ResultStore:
@@ -166,7 +179,7 @@ class ResultStore:
                         legacy, key.digest, exc,
                     )
                     return None
-                _atomic_write_bytes(path, encode(table))
+                _atomic_write(path, encode(table))
                 obs.inc("store.get.migrated")
                 sp.note(result="migrated")
                 return table
@@ -189,7 +202,7 @@ class ResultStore:
         with obs.span("store.put", key=key.digest, n_trials=key.n_trials):
             obs.inc("store.put")
             path = self.path_for(key)
-            _atomic_write_bytes(path, encode(table))
+            _atomic_write(path, encode(table))
             return path
 
     # -- prefix queries (top-up / truncation) --------------------------------

@@ -1,4 +1,4 @@
-"""Analysis-layer tests: theory, measurement harnesses, sweeps, reports."""
+"""Analysis-layer tests: theory, measurement harnesses, reports."""
 
 import math
 
@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.ber import BerEstimate, measure_forward_ber
-from repro.analysis.montecarlo import mean_and_stderr, run_trials
-from repro.analysis.reporting import format_series, format_sweep, format_table
-from repro.analysis.sweep import Sweep1D, sweep1d
+from repro.analysis.reporting import format_table
 from repro.analysis.theory import (
     aloha_success_probability,
     aloha_throughput,
@@ -211,116 +209,6 @@ class TestMeasurementHarness:
             )
 
 
-class TestMonteCarloPlumbing:
-    def test_run_trials_count(self):
-        out = run_trials(lambda rng: 1, trials=7, rng=0)
-        assert out.trials == 7
-
-    def test_independent_rngs(self):
-        out = run_trials(lambda rng: rng.integers(0, 10**9), trials=5, rng=0)
-        assert len(set(out.results)) > 1
-
-    def test_early_stop(self):
-        out = run_trials(lambda rng: 1, trials=100, rng=0,
-                         stop_when=lambda rs: len(rs) >= 3)
-        assert out.trials == 3
-
-    def test_mean_and_stderr(self):
-        mean, se = mean_and_stderr([1.0, 2.0, 3.0])
-        assert mean == pytest.approx(2.0)
-        assert se == pytest.approx(1.0 / math.sqrt(3))
-
-    def test_mean_and_stderr_degenerate(self):
-        assert mean_and_stderr([]) == (0.0, 0.0)
-        assert mean_and_stderr([5.0]) == (5.0, 0.0)
-
-
-class TestSweep:
-    def test_sweep1d_collects_rows(self):
-        sweep = sweep1d("x", [1, 2, 3], lambda x: {"sq": x * x})
-        assert sweep.values == [1, 2, 3]
-        assert sweep.column("sq") == [1, 4, 9]
-        assert sweep.rows()[1] == (2, 4)
-        assert sweep.header() == ["x", "sq"]
-
-    def test_missing_metric_rejected(self):
-        sweep = Sweep1D(parameter="x")
-        sweep.add_point(1, a=1.0, b=2.0)
-        with pytest.raises(ValueError):
-            sweep.add_point(2, a=1.0)
-
-    def test_new_metric_rejected_after_first_point(self):
-        # A brand-new metric name mid-sweep would leave ragged columns.
-        sweep = Sweep1D(parameter="x")
-        sweep.add_point(1, a=1.0)
-        with pytest.raises(ValueError, match="unknown metric"):
-            sweep.add_point(2, a=1.0, b=2.0)
-        # The failed call must not have mutated the sweep.
-        assert sweep.values == [1]
-        assert sweep.column("a") == [1.0]
-        assert "b" not in sweep.columns
-
-    def test_sweep_is_a_result_table_underneath(self):
-        # Sweep1D is now a shim over the one table shape; the backing
-        # table is the real container and stays in lock-step.
-        from repro.experiments.results import ResultTable
-
-        sweep = sweep1d("d", [1, 2], lambda d: {"y": d * 10})
-        assert isinstance(sweep.table, ResultTable)
-        assert sweep.table.columns == ["d", "y"]
-        assert sweep.table.records == [{"d": 1, "y": 10},
-                                       {"d": 2, "y": 20}]
-        assert sweep.table.metadata == {"parameter": "d"}
-        assert sweep.header() == ["d", "y"]
-        assert sweep.rows() == sweep.table.rows()
-
-    def test_sweep_shim_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="Sweep1D is deprecated"):
-            Sweep1D(parameter="x")
-        with pytest.warns(DeprecationWarning, match="Sweep1D is deprecated") as rec:
-            sweep1d("x", [1], lambda x: {"y": x})
-        # sweep1d warns once, not once per internal construction
-        assert len([w for w in rec
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-
-    def test_metric_colliding_with_parameter_rejected(self):
-        # One flat record per point: a metric named after the swept
-        # parameter would silently overwrite the swept value.
-        sweep = Sweep1D(parameter="x")
-        with pytest.raises(ValueError, match="collides"):
-            sweep.add_point(1, x=10.0, y=1.0)
-        assert sweep.values == []
-
-    def test_empty_sweep_header_keeps_parameter(self):
-        sweep = Sweep1D(parameter="x")
-        assert sweep.header() == ["x"]
-        assert sweep.rows() == []
-        assert sweep.values == []
-
-    def test_legacy_dataclass_constructor_still_accepted(self):
-        # The pre-shim dataclass exposed values=/columns= fields; the
-        # shim keeps accepting them (they seed the backing table).
-        sweep = Sweep1D(parameter="x", values=[1, 2],
-                        columns={"y": [10.0, 20.0]})
-        assert sweep.values == [1, 2]
-        assert sweep.column("y") == [10.0, 20.0]
-        assert sweep.table.records == [{"x": 1, "y": 10.0},
-                                       {"x": 2, "y": 20.0}]
-        with pytest.raises(TypeError, match="not both"):
-            Sweep1D(parameter="x", table=sweep.table, values=[1])
-
-    def test_from_result_table(self):
-        from repro.experiments.results import ResultTable
-
-        table = ResultTable()
-        table.extend([{"d": 1, "y": 2.0}])
-        sweep = Sweep1D(parameter="d", table=table)
-        assert sweep.values == [1]
-        assert sweep.column("y") == [2.0]
-        with pytest.raises(ValueError, match="first column"):
-            Sweep1D(parameter="nope", table=table)
-
-
 class TestReporting:
     def test_format_table_alignment(self):
         table = format_table(["name", "value"], [("x", 1.0), ("long", 22.5)])
@@ -332,13 +220,3 @@ class TestReporting:
     def test_format_table_scientific_for_extremes(self):
         table = format_table(["v"], [(1.2e-9,)])
         assert "e-09" in table
-
-    def test_format_series(self):
-        out = format_series("BER vs d", [0.5, 1.0], [1e-3, 1e-2])
-        assert "BER vs d" in out
-        assert out.count("->") == 2
-
-    def test_format_sweep(self):
-        sweep = sweep1d("d", [1, 2], lambda d: {"y": d * 10})
-        out = format_sweep(sweep)
-        assert "d" in out.splitlines()[0]

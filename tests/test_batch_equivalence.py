@@ -286,20 +286,20 @@ def test_store_round_trip_shares_result_keys(tmp_path, trial_name):
 def test_engine_caches_are_lru_bounded():
     from collections import OrderedDict
 
-    from repro.experiments import batch
+    from repro.experiments import batch, runner
 
     # The shared helper: bounded, evicting least-recently-used first.
     cache = OrderedDict()
     built = []
-    for i in range(batch.MAX_CACHED_ENGINES + 4):
-        batch._cached_engine(cache, i, lambda s: built.append(s) or s)
-    assert len(built) == batch.MAX_CACHED_ENGINES + 4
-    assert len(cache) == batch.MAX_CACHED_ENGINES
+    for i in range(runner.MAX_CACHED_ENGINES + 4):
+        runner._cached_engine(cache, i, lambda s: built.append(s) or s)
+    assert len(built) == runner.MAX_CACHED_ENGINES + 4
+    assert len(cache) == runner.MAX_CACHED_ENGINES
     assert 0 not in cache and 3 not in cache  # oldest four evicted
     # A hit refreshes recency: key 4 survives the next eviction, the
     # untouched key 5 does not.
-    batch._cached_engine(cache, 4, lambda s: pytest.fail("hit rebuilt"))
-    batch._cached_engine(cache, -1, lambda s: s)
+    runner._cached_engine(cache, 4, lambda s: pytest.fail("hit rebuilt"))
+    runner._cached_engine(cache, -1, lambda s: s)
     assert 4 in cache and 5 not in cache
 
     # The real MAC-engine cache goes through the same helper and stays
@@ -307,7 +307,7 @@ def test_engine_caches_are_lru_bounded():
     # no staging — so this sweeps well past the cap).
     base = get_scenario("sparse-mac")
     batch._MAC_ENGINE_CACHE.clear()
-    for links in range(2, batch.MAX_CACHED_ENGINES + 10):
+    for links in range(2, runner.MAX_CACHED_ENGINES + 10):
         batch._mac_engine_for(base.replace(mac_num_links=links))
-    assert len(batch._MAC_ENGINE_CACHE) == batch.MAX_CACHED_ENGINES
+    assert len(batch._MAC_ENGINE_CACHE) == runner.MAX_CACHED_ENGINES
     batch._MAC_ENGINE_CACHE.clear()

@@ -1,15 +1,9 @@
-"""Envelope detection and threshold tests."""
+"""Envelope detection tests."""
 
 import numpy as np
 import pytest
 
 from repro.dsp.envelope import envelope_power, square_law_detector
-from repro.dsp.thresholds import (
-    AdaptiveThreshold,
-    FixedThreshold,
-    adaptive_threshold,
-    slice_bits,
-)
 
 
 class TestEnvelopePower:
@@ -46,61 +40,3 @@ class TestSquareLawDetector:
         x = rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)
         smooth = square_law_detector(x, 1e5, 5e-4)
         assert smooth.mean() == pytest.approx(envelope_power(x).mean(), rel=0.05)
-
-
-class TestFixedThreshold:
-    def test_explicit_level(self):
-        thr = FixedThreshold(level=2.0)(np.array([1.0, 3.0]))
-        assert np.allclose(thr, 2.0)
-
-    def test_default_uses_mean(self):
-        env = np.array([1.0, 3.0])
-        assert np.allclose(FixedThreshold()(env), 2.0)
-
-
-class TestAdaptiveThreshold:
-    def test_tracks_slow_steps(self):
-        # A step much slower than the window is tracked out: the
-        # threshold ends up at the local level on both sides.
-        env = np.concatenate([np.ones(200), 3 * np.ones(200)])
-        thr = AdaptiveThreshold(window=20)(env)
-        assert thr[150] == pytest.approx(1.0)
-        assert thr[399] == pytest.approx(3.0)
-
-    def test_sits_at_midpoint_of_balanced_data(self):
-        env = np.tile([0.0, 2.0], 200)  # DC-balanced chip pattern
-        thr = AdaptiveThreshold(window=40)(env)
-        assert thr[100:].mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_scale(self):
-        env = np.ones(50)
-        thr = AdaptiveThreshold(window=5, scale=1.1)(env)
-        assert np.allclose(thr, 1.1)
-
-    def test_functional_shorthand(self):
-        env = np.arange(10.0)
-        assert np.allclose(
-            adaptive_threshold(env, 3), AdaptiveThreshold(window=3)(env)
-        )
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            AdaptiveThreshold(window=0)
-
-
-class TestSliceBits:
-    def test_basic(self):
-        env = np.array([0.5, 2.0, 1.0])
-        thr = np.array([1.0, 1.0, 1.0])
-        assert np.array_equal(slice_bits(env, thr), [0, 1, 0])
-
-    def test_equality_slices_low(self):
-        assert slice_bits(np.array([1.0]), np.array([1.0]))[0] == 0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            slice_bits(np.ones(3), np.ones(4))
-
-    def test_dtype(self):
-        out = slice_bits(np.array([2.0]), np.array([1.0]))
-        assert out.dtype == np.uint8

@@ -1,4 +1,4 @@
-"""Correlation, expansion and resampling tests."""
+"""Correlation and expansion tests."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.dsp.ops import (
     repeat_samples,
     sliding_windows,
 )
-from repro.dsp.resample import align_lengths, hold_resample
 
 
 class TestRepeatSamples:
@@ -97,29 +96,3 @@ class TestSlidingWindows:
 
     def test_short_input(self):
         assert sliding_windows(np.arange(3), 5).shape == (0, 5)
-
-
-class TestHoldResample:
-    def test_exact_division(self):
-        out = hold_resample(np.array([1, 2]), 6)
-        assert np.array_equal(out, [1, 1, 1, 2, 2, 2])
-
-    def test_uneven_division_lengths_differ_by_one(self):
-        out = hold_resample(np.array([1, 2, 3]), 8)
-        counts = [np.count_nonzero(out == v) for v in (1, 2, 3)]
-        assert sum(counts) == 8
-        assert max(counts) - min(counts) <= 1
-
-    def test_total_length(self):
-        out = hold_resample(np.arange(7), 23)
-        assert out.size == 23
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            hold_resample(np.empty(0), 5)
-
-
-class TestAlignLengths:
-    def test_truncates_to_common(self):
-        a, b = align_lengths(np.arange(5), np.arange(3))
-        assert a.size == b.size == 3

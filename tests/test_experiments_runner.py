@@ -75,6 +75,24 @@ class TestRunnerSerial:
         )
         assert len(runner.run(ScenarioSpec(), seed=0)) == 10
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stop_rule_checks_each_prefix_once(self, workers):
+        # A stop rule is pure, so a prefix checked after one trial (or
+        # chunk) never needs a second look: N trials that never stop
+        # cost N - min_trials + 1 calls, one per prefix length.
+        seen = []
+
+        def never(records):
+            seen.append(len(records))
+            return False
+
+        runner = ExperimentRunner(
+            trial=_counting_trial, max_trials=100, min_trials=5,
+            stop_when=never, workers=workers, chunk_size=7,
+        )
+        assert len(runner.run(ScenarioSpec(), seed=0)) == 100
+        assert seen == list(range(5, 101))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentRunner(trial=_counting_trial, max_trials=0)
@@ -231,6 +249,28 @@ class TestVectorizedBackend:
         assert v.records == s.records
 
 
+class TestStackCache:
+    def test_stack_cache_is_lru_bounded(self):
+        # Every cached engine pins its stack, so the stack cache must
+        # share the engine caches' cap or their eviction frees nothing.
+        from repro.experiments import runner
+
+        runner._STACK_CACHE.clear()
+        specs = [
+            FAST_SPEC.replace(distance_m=0.1 * (i + 1))
+            for i in range(runner.MAX_CACHED_ENGINES + 4)
+        ]
+        for spec in specs:
+            runner._stack_for(spec)
+        assert len(runner._STACK_CACHE) == runner.MAX_CACHED_ENGINES
+        assert list(runner._STACK_CACHE) == specs[4:]
+        # A hit returns the cached stack itself and refreshes it.
+        stack = runner._STACK_CACHE[specs[4]]
+        assert runner._stack_for(specs[4]) is stack
+        assert list(runner._STACK_CACHE)[-1] == specs[4]
+        runner._STACK_CACHE.clear()
+
+
 class TestForwardBerTrial:
     def test_record_shape(self):
         rng = np.random.default_rng(0)
@@ -321,14 +361,6 @@ class TestResultTable:
     def test_from_json_missing_required_key(self):
         with pytest.raises(KeyError):
             ResultTable.from_json("{}")
-
-    def test_from_sweep(self):
-        from repro.analysis.sweep import sweep1d
-
-        sweep = sweep1d("d", [1, 2], lambda d: {"y": d * 10})
-        table = ResultTable.from_sweep(sweep)
-        assert table.columns == ["d", "y"]
-        assert table.column("y") == [10, 20]
 
 
 class TestAggregates:

@@ -115,7 +115,8 @@ class TestInReceptionCollisionDetection:
     """A colliding third tag must be detectable mid-packet from the
     decision margins — the mechanism behind early abort."""
 
-    def _margins_with_collision(self, collide: bool, rng_seed: int = 0):
+    def _reception(self, collide: bool, rng_seed: int = 0):
+        """``(margins, sent bits, decoded bits)`` over the observed span."""
         cfg = FullDuplexConfig()
         phy = cfg.phy
         src = OfdmLikeSource(sample_rate_hz=phy.sample_rate_hz,
@@ -147,19 +148,27 @@ class TestInReceptionCollisionDetection:
         soft = rx.soft_chips(env, phy.detector_delay_samples, 190 * 2)
         assert soft.size == 190 * 2
         # Manchester margins: half-difference per bit.
-        return soft[0::2] - soft[1::2]
+        return soft[0::2] - soft[1::2], bits[:190], rx.soft_decode_bits(soft)
 
     def test_clean_reception_not_flagged(self):
-        margins = self._margins_with_collision(collide=False)
+        margins, bits, decoded = self._reception(collide=False)
+        assert np.array_equal(decoded, bits)
         verdict = MarginCollapseDetector().run(np.abs(margins))
         assert not verdict.detected
 
     def test_collision_detected_near_its_onset(self):
-        margins = self._margins_with_collision(collide=True)
+        margins, _, _ = self._reception(collide=True)
         verdict = MarginCollapseDetector().run(np.abs(margins))
         assert verdict.detected
         # Onset at bit 64 (one third of 192); detection shortly after.
         assert 64 <= verdict.detection_bit <= 110
+
+    def test_decision_errors_start_at_onset(self):
+        _, bits, decoded = self._reception(collide=True)
+        # The collider is silent before bit 64, so every earlier
+        # decision is correct; after the onset the victim misdecodes.
+        assert np.array_equal(decoded[:64], bits[:64])
+        assert np.count_nonzero(decoded[64:] != bits[64:]) > 0
 
 
 class TestEnergyHarvestDuringExchange:

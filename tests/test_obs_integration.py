@@ -137,9 +137,9 @@ class TestEngineCacheChurn:
     def test_lru_eviction_order_and_metrics(self, monkeypatch):
         from collections import OrderedDict
 
-        from repro.experiments import batch
+        from repro.experiments import runner
 
-        monkeypatch.setattr(batch, "MAX_CACHED_ENGINES", 2)
+        monkeypatch.setattr(runner, "MAX_CACHED_ENGINES", 2)
         cache = OrderedDict()
         specs = [FAST_SPEC.replace(distance_m=d) for d in (0.4, 0.5, 0.6)]
         built = []
@@ -150,18 +150,18 @@ class TestEngineCacheChurn:
 
         session = obs.start()
         # fill: build A, B; hit A (refreshes A over B)
-        batch._cached_engine(cache, specs[0], build, label="phy_engine")
-        batch._cached_engine(cache, specs[1], build, label="phy_engine")
-        a = batch._cached_engine(cache, specs[0], build, label="phy_engine")
+        runner._cached_engine(cache, specs[0], build, label="batch.phy_engine")
+        runner._cached_engine(cache, specs[1], build, label="batch.phy_engine")
+        a = runner._cached_engine(cache, specs[0], build, label="batch.phy_engine")
         # C overflows the cap: B is LRU and must be evicted, A survives
-        batch._cached_engine(cache, specs[2], build, label="phy_engine")
+        runner._cached_engine(cache, specs[2], build, label="batch.phy_engine")
         obs.stop()
 
         assert built == [0.4, 0.5, 0.6]
         assert list(cache) == [specs[0], specs[2]]
         # A evicted? no: the refreshed A is still cached
-        assert batch._cached_engine(
-            cache, specs[0], build, label="phy_engine"
+        assert runner._cached_engine(
+            cache, specs[0], build, label="batch.phy_engine"
         ) is a
         counters = session.metrics.snapshot()["counters"]
         assert counters["batch.phy_engine.build"] == 3
@@ -171,16 +171,16 @@ class TestEngineCacheChurn:
     def test_rebuild_after_eviction_counts_as_build(self, monkeypatch):
         from collections import OrderedDict
 
-        from repro.experiments import batch
+        from repro.experiments import runner
 
-        monkeypatch.setattr(batch, "MAX_CACHED_ENGINES", 1)
+        monkeypatch.setattr(runner, "MAX_CACHED_ENGINES", 1)
         cache = OrderedDict()
         specs = [FAST_SPEC.replace(distance_m=d) for d in (0.4, 0.5)]
 
         session = obs.start()
         for spec in (specs[0], specs[1], specs[0], specs[1]):
-            batch._cached_engine(
-                cache, spec, lambda s: object(), label="mac_engine"
+            runner._cached_engine(
+                cache, spec, lambda s: object(), label="batch.mac_engine"
             )
         obs.stop()
         counters = session.metrics.snapshot()["counters"]

@@ -10,7 +10,6 @@ from repro.dsp.filters import (
     single_pole_lowpass,
 )
 from repro.dsp.ops import bit_errors, repeat_samples
-from repro.dsp.resample import hold_resample
 from repro.fullduplex.config import FullDuplexConfig
 from repro.fullduplex.protocol import FeedbackProtocol
 from repro.hardware.energy import EnergyModel
@@ -105,20 +104,6 @@ class TestDspProperties:
         wave = repeat_samples(bits, factor)
         back = integrate_and_dump(wave.astype(float), factor)
         assert np.array_equal((back > 0.5).astype(np.uint8), bits)
-
-    @given(
-        symbols=st.lists(st.integers(0, 5), min_size=1, max_size=40),
-        total=st.integers(1, 500),
-    )
-    def test_hold_resample_length_and_order(self, symbols, total):
-        arr = np.asarray(symbols)
-        if total < arr.size:
-            return  # fewer samples than symbols: some symbols vanish
-        out = hold_resample(arr, total)
-        assert out.size == total
-        # order preserved: first sample is first symbol, last is last.
-        assert out[0] == arr[0]
-        assert out[-1] == arr[-1]
 
     @given(a=nonempty_bits)
     def test_bit_errors_identity_and_symmetry(self, a):

@@ -1,12 +1,10 @@
-"""Tests for the scenario builder, calibration report and CLI."""
+"""Tests for the calibration report and CLI."""
 
-import numpy as np
 import pytest
 
 from repro.ambient import OfdmLikeSource
 from repro.analysis.calibration import CalibrationReport, calibration_report
-from repro.fullduplex import FullDuplexConfig, MarginCollapseDetector
-from repro.fullduplex.scenarios import collision_scenario
+from repro.fullduplex import FullDuplexConfig
 from repro.phy import PhyConfig
 
 
@@ -15,51 +13,6 @@ def _stack():
     src = OfdmLikeSource(sample_rate_hz=cfg.phy.sample_rate_hz,
                          bandwidth_hz=200e3)
     return cfg, src
-
-
-class TestCollisionScenario:
-    def test_clean_run_decodes_and_passes_detector(self):
-        cfg, src = _stack()
-        obs = collision_scenario(cfg, src, rng=0, onset_bit=None)
-        assert obs.onset_bit is None
-        assert obs.bit_errors == 0
-        verdict = MarginCollapseDetector().run(np.abs(obs.margins))
-        assert not verdict.detected
-
-    def test_collided_run_corrupts_and_trips_detector(self):
-        cfg, src = _stack()
-        obs = collision_scenario(cfg, src, rng=0, onset_bit=64)
-        assert obs.bit_errors > 0
-        verdict = MarginCollapseDetector().run(np.abs(obs.margins))
-        assert verdict.detected
-        assert verdict.detection_bit >= 64
-
-    def test_errors_start_at_onset(self):
-        cfg, src = _stack()
-        obs = collision_scenario(cfg, src, rng=1, onset_bit=96)
-        errors_before = np.count_nonzero(
-            obs.data_bits[:90] != obs.decoded_bits[:90]
-        )
-        assert errors_before == 0
-
-    def test_shapes_consistent(self):
-        cfg, src = _stack()
-        obs = collision_scenario(cfg, src, rng=2, packet_bits=128,
-                                 onset_bit=32)
-        assert obs.soft_chips.size == obs.data_bits.size * 2
-        assert obs.margins.size == obs.data_bits.size
-        assert obs.decoded_bits.size == obs.data_bits.size
-
-    def test_onset_validation(self):
-        cfg, src = _stack()
-        with pytest.raises(ValueError):
-            collision_scenario(cfg, src, packet_bits=100, onset_bit=100)
-
-    def test_deterministic_given_seed(self):
-        cfg, src = _stack()
-        a = collision_scenario(cfg, src, rng=7, onset_bit=64)
-        b = collision_scenario(cfg, src, rng=7, onset_bit=64)
-        assert np.allclose(a.soft_chips, b.soft_chips)
 
 
 class TestCalibrationReport:

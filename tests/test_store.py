@@ -136,6 +136,18 @@ class TestResultKey:
         }
 
 
+def _put_same_key(args) -> int:
+    """Pool-side writer: ``count`` puts of one fixed key under ``root``."""
+    root, count = args
+    store = ResultStore(root)
+    key = result_key(FAST_SPEC, "forward-ber", 3, 0)
+    table = ResultTable()
+    table.extend({"trial": i, "v": float(i)} for i in range(3))
+    for _ in range(count):
+        store.put(key, table)
+    return count
+
+
 class TestResultStore:
     def _table(self, key, n):
         table = ResultTable(metadata={"n_trials": n})
@@ -185,6 +197,70 @@ class TestResultStore:
         key = result_key(FAST_SPEC, "forward-ber", 2, 0)
         store.put(key, self._table(key, 2))
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_same_key_put_between_write_and_replace(self, tmp_path,
+                                                    monkeypatch):
+        # Two writers of one key (overlapping campaigns share keys):
+        # the second put runs start to finish after the first has
+        # written its temp file but before it replaces.  Each writer
+        # must own its temp file, so both publish a whole table.
+        import os
+
+        store = ResultStore(tmp_path)
+        key = result_key(FAST_SPEC, "forward-ber", 3, 0)
+        table = self._table(key, 3)
+        real_replace = os.replace
+        staged = []
+
+        def interleaved_replace(src, dst):
+            staged.append(src)
+            if len(staged) == 1:
+                store.put(key, table)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved_replace)
+        store.put(key, table)
+        monkeypatch.undo()
+        assert len(staged) == 2 and staged[0] != staged[1]
+        assert store.get(key).records == table.records
+        assert [p.name for p in store.path_for(key).parent.iterdir()] == [
+            store.path_for(key).name
+        ]
+
+    @pytest.mark.slow
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        # Overlapping campaigns share keys by design: processes putting
+        # the same key at once must neither crash nor leave temp files.
+        import multiprocessing
+
+        workers = 4
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(processes=workers) as pool:
+            pending = pool.map_async(
+                _put_same_key, [(str(tmp_path), 100)] * workers
+            )
+            assert pending.get(timeout=120) == [100] * workers
+        store = ResultStore(tmp_path)
+        key = result_key(FAST_SPEC, "forward-ber", 3, 0)
+        assert store.get(key).column("v") == [0.0, 1.0, 2.0]
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path,
+                                                monkeypatch):
+        import os
+
+        store = ResultStore(tmp_path)
+        key = result_key(FAST_SPEC, "forward-ber", 2, 0)
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            store.put(key, self._table(key, 2))
+        monkeypatch.undo()
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not store.has(key)
 
 
 class TestCachedRun:
