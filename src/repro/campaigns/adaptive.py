@@ -32,16 +32,15 @@ target as a workload-sizing dial, not an exact coverage guarantee.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.analysis.theory import wilson_interval
+from repro.campaigns.runner import write_snapshot
 from repro.campaigns.spec import CampaignSpec, CampaignUnit
 from repro.store.cache import cached_run
 from repro.store.keys import CODE_VERSION
-from repro.store.store import _atomic_write
 from repro.utils.validation import check_positive
 
 
@@ -309,10 +308,4 @@ def _write_checkpoint(runner, result: AdaptiveRunResult) -> None:
             for cell in result.cells
         ],
     }
-    _atomic_write(
-        adaptive_checkpoint_path(runner, result.campaign),
-        (
-            json.dumps(state, indent=2, sort_keys=True, allow_nan=False)
-            + "\n"
-        ).encode(),
-    )
+    write_snapshot(adaptive_checkpoint_path(runner, result.campaign), state)

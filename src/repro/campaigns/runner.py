@@ -3,7 +3,7 @@
 :class:`CampaignRunner` walks a campaign's units in declaration order
 and satisfies each one through :func:`repro.store.cached_run` — so a
 re-run is pure cache hits, a killed run resumes for free (the store
-*is* the durable state; the checkpoint file is bookkeeping for
+*is* the durable state; the checkpoint files are bookkeeping for
 ``status`` and CI artifacts), and raising ``--trials`` tops every unit
 up from its stored prefix instead of recomputing it.
 
@@ -13,12 +13,17 @@ what is missing.  Because stored tables are canonical (backend- and
 history-independent bytes) and aggregation is deterministic, a
 campaign reported twice produces bitwise-identical output.
 
-Checkpoint format (``<store>/campaigns/<name>.json``)::
+Checkpoint: a pass truncates ``<store>/campaigns/<name>.journal``,
+writes the run fingerprint (``campaign`` + ``run`` below) as its first
+line, and appends one canonical JSON line per finished unit (the unit's
+entry plus its ``digest``).  When the pass ends it publishes the
+snapshot ``<store>/campaigns/<name>.json`` atomically from memory and
+removes the journal::
 
     {
       "campaign": <CampaignSpec.to_dict()>,
       "run": {"n_trials": …, "seed": …, "code_version": …},
-      "total": N, "completed": k,
+      "total": N, "completed": N,
       "units": {
         "<digest>": {"label": …, "kind": …, "arm": …, "point": {…},
                      "outcome": "hit|truncated|topup|miss",
@@ -26,15 +31,18 @@ Checkpoint format (``<store>/campaigns/<name>.json``)::
       }
     }
 
-A checkpoint whose ``campaign``/``run`` fingerprint does not match the
-requested run is stale (the campaign definition or budget changed) and
-is discarded — cheaply, since matching store entries still hit.
+Neither file is read back or fsynced: the store is the durable state
+(DESIGN §8).  A journal left behind records how far a killed pass got,
+and a stale or torn snapshot is simply overwritten by the next finished
+pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -46,6 +54,40 @@ from repro.store.keys import CODE_VERSION
 from repro.store.store import ResultStore, _atomic_write
 
 log = logging.getLogger("repro.campaigns")
+
+
+def write_snapshot(path, state: dict) -> None:
+    """Atomically publish a checkpoint snapshot (campaign or adaptive)
+    as indented, key-sorted, strict-finite JSON."""
+    _atomic_write(
+        path,
+        (
+            json.dumps(state, indent=2, sort_keys=True, allow_nan=False)
+            + "\n"
+        ).encode(),
+    )
+
+
+@contextlib.contextmanager
+def _journal(path):
+    """Truncate ``path`` and yield ``append(record)``, which adds one
+    canonical JSON line per call in a single ``O_APPEND`` write: the
+    file grows by whole lines, save a last one torn by a kill."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(
+        path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND, 0o644
+    )
+
+    def append(record: dict) -> None:
+        line = json.dumps(
+            record, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+        os.write(fd, (line + "\n").encode())
+
+    try:
+        yield append
+    finally:
+        os.close(fd)
 
 
 class MissingUnitsError(RuntimeError):
@@ -138,8 +180,12 @@ class CampaignRunner:
         )
 
     def checkpoint_path(self, campaign: CampaignSpec):
-        """Where this campaign's checkpoint lives in the store."""
+        """Where this campaign's checkpoint snapshot lives in the store."""
         return self.store.campaign_dir() / f"{campaign.name}.json"
+
+    def journal_path(self, campaign: CampaignSpec):
+        """Where a running pass appends its per-unit checkpoint lines."""
+        return self.store.campaign_dir() / f"{campaign.name}.journal"
 
     # -- execution -----------------------------------------------------------
 
@@ -151,12 +197,13 @@ class CampaignRunner:
         seed: int | None = None,
         progress=None,
     ) -> CampaignRunResult:
-        """Execute every unit, store-first, checkpointing as it goes.
+        """Execute every unit, store-first, journaling each as it ends.
 
         ``progress`` (optional callable) receives one
         ``(unit, CachedRun)`` pair per completed unit — the CLI's
         live ticker.  Killable at any point: completed units are in the
-        store, and the next invocation reuses them as exact hits.
+        store, and the next invocation reuses them as exact hits.  The
+        checkpoint snapshot is published once, when the pass ends.
         """
         units = campaign.units(n_trials=n_trials, seed=seed)
         result = CampaignRunResult(
@@ -165,17 +212,19 @@ class CampaignRunner:
             seed=units[0].seed,
         )
         fingerprint = self._fingerprint(campaign, result)
-        state = self._load_checkpoint(campaign, fingerprint)
+        entries: dict[str, dict] = {}
+        journal = self.journal_path(campaign)
         log.info(
             "campaign %s: %d units at %d trials (seed %d)",
             campaign.name, len(units), result.n_trials, result.seed,
         )
-        with obs.span(
+        with _journal(journal) as append, obs.span(
             "campaign.run",
             campaign=campaign.name,
             units=len(units),
             n_trials=result.n_trials,
         ):
+            append(fingerprint)
             for unit in units:
                 with obs.span(
                     "campaign.unit",
@@ -199,7 +248,7 @@ class CampaignRunner:
                     unit.label(), outcome.outcome, outcome.trials_computed,
                 )
                 result.units.append((unit, outcome))
-                state["units"][outcome.key.digest] = {
+                entry = entries[outcome.key.digest] = {
                     "label": unit.label(),
                     "kind": unit.kind,
                     "arm": unit.arm,
@@ -208,19 +257,17 @@ class CampaignRunner:
                     "trials_computed": outcome.trials_computed,
                     "n_trials": unit.n_trials,
                 }
-                state["total"] = len(units)
-                state["completed"] = len(result.units)
-                _atomic_write(
-                    self.checkpoint_path(campaign),
-                    (
-                        json.dumps(
-                            state, indent=2, sort_keys=True, allow_nan=False
-                        )
-                        + "\n"
-                    ).encode(),
-                )
+                append({**entry, "digest": outcome.key.digest})
                 if progress is not None:
                     progress(unit, outcome)
+        write_snapshot(self.checkpoint_path(campaign), {
+            **fingerprint,
+            "total": len(units),
+            "completed": len(result.units),
+            "units": entries,
+        })
+        # a concurrent pass of the same campaign may have removed it
+        journal.unlink(missing_ok=True)
         log.info(
             "campaign %s: done (%d trials computed)",
             campaign.name, result.trials_computed,
@@ -236,26 +283,6 @@ class CampaignRunner:
                 "code_version": CODE_VERSION,
             },
         }
-
-    def _load_checkpoint(self, campaign, fingerprint) -> dict:
-        path = self.checkpoint_path(campaign)
-        if path.is_file():
-            try:
-                state = json.loads(path.read_text())
-            except json.JSONDecodeError:
-                state = None
-            if (
-                state
-                and state.get("campaign") == fingerprint["campaign"]
-                and state.get("run") == fingerprint["run"]
-            ):
-                return state
-            log.info(
-                "checkpoint %s is stale (campaign or budget changed); "
-                "starting fresh",
-                path,
-            )
-        return {**fingerprint, "total": 0, "completed": 0, "units": {}}
 
     # -- inspection ----------------------------------------------------------
 
@@ -325,12 +352,13 @@ class CampaignRunner:
         """
         if units is None:
             units = campaign.units(n_trials=n_trials, seed=seed)
-        missing = [u for u in units if not self.store.has(u.key())]
+        keys = [unit.key() for unit in units]
+        missing = [u for u, k in zip(units, keys) if not self.store.has(k)]
         if missing:
             raise MissingUnitsError(missing)
         tables: dict[str, ResultTable] = {}
-        for unit in units:
-            stored = self.store.get(unit.key())
+        for unit, key in zip(units, keys):
+            stored = self.store.get(key)
             aggregate = TRIAL_AGGREGATES[unit.kind]
             record = {
                 **dict(unit.point),

@@ -6,6 +6,9 @@ Two simulation profiles:
   chains but not statistical depth;
 * deterministic links built on :class:`ToneSource` with zero noise, for
   exact (non-statistical) end-to-end assertions.
+
+Campaign-layer tests share ``bernoulli_kind``: a fake trial kind whose
+trial is one coin flip, so a grid of thousands of units runs in seconds.
 """
 
 from __future__ import annotations
@@ -13,8 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.experiments as experiments
 from repro.ambient import OfdmLikeSource, ToneSource
+from repro.campaigns.adaptive import WILSON_COUNTS, _ratio_counts
 from repro.channel import ChannelModel, Scene
+from repro.experiments.runner import ber_aggregate
 from repro.phy import PhyConfig
 
 
@@ -66,3 +72,26 @@ def ofdm_source(default_phy) -> OfdmLikeSource:
     """Calibrated TV-like source at the default PHY rate."""
     return OfdmLikeSource(sample_rate_hz=default_phy.sample_rate_hz,
                           bandwidth_hz=200e3)
+
+
+def bernoulli_trial(spec, rng) -> dict:
+    """One Bernoulli draw; ``mac_loss_probability`` is the knob."""
+    return {
+        "errors": int(rng.random() < spec.mac_loss_probability),
+        "bits": 1,
+    }
+
+
+@pytest.fixture
+def bernoulli_kind(monkeypatch):
+    """Register the microsecond-cheap ``bernoulli-test`` trial kind."""
+    monkeypatch.setitem(
+        experiments.TRIAL_KINDS, "bernoulli-test", bernoulli_trial
+    )
+    monkeypatch.setitem(
+        experiments.TRIAL_AGGREGATES, "bernoulli-test", ber_aggregate
+    )
+    monkeypatch.setitem(
+        WILSON_COUNTS, "bernoulli-test", _ratio_counts("errors", "bits")
+    )
+    return "bernoulli-test"

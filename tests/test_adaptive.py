@@ -20,12 +20,7 @@ from repro.campaigns import (
     CampaignSpec,
     adaptive_run,
 )
-from repro.campaigns.adaptive import (
-    WILSON_COUNTS,
-    _ratio_counts,
-    adaptive_checkpoint_path,
-)
-from repro.experiments.runner import ber_aggregate
+from repro.campaigns.adaptive import adaptive_checkpoint_path
 from repro.store import ResultStore
 
 #: Grid of success probabilities — variance p(1-p) spans 25×.
@@ -33,28 +28,6 @@ PROBS = (0.02, 0.1, 0.5)
 
 #: Target Wilson half-width for the convergence tests.
 PRECISION = 0.08
-
-
-def _bernoulli_trial(spec, rng) -> dict:
-    """One Bernoulli draw; ``mac_loss_probability`` is the knob."""
-    return {
-        "errors": int(rng.random() < spec.mac_loss_probability),
-        "bits": 1,
-    }
-
-
-@pytest.fixture
-def bernoulli_kind(monkeypatch):
-    monkeypatch.setitem(
-        experiments.TRIAL_KINDS, "bernoulli-test", _bernoulli_trial
-    )
-    monkeypatch.setitem(
-        experiments.TRIAL_AGGREGATES, "bernoulli-test", ber_aggregate
-    )
-    monkeypatch.setitem(
-        WILSON_COUNTS, "bernoulli-test", _ratio_counts("errors", "bits")
-    )
-    return "bernoulli-test"
 
 
 def _campaign(kind, floor=8):
@@ -170,9 +143,13 @@ class TestAdaptiveValidation:
         with pytest.raises(ValueError, match="needs a target"):
             adaptive_run(runner, _campaign(bernoulli_kind))
 
-    def test_rejects_unsupported_kind(self, tmp_path, monkeypatch):
+    def test_rejects_unsupported_kind(
+        self, tmp_path, monkeypatch, bernoulli_kind
+    ):
+        # a registered trial kind without a Wilson count extractor
         monkeypatch.setitem(
-            experiments.TRIAL_KINDS, "no-counts", _bernoulli_trial
+            experiments.TRIAL_KINDS, "no-counts",
+            experiments.TRIAL_KINDS[bernoulli_kind],
         )
         runner = CampaignRunner(store=ResultStore(tmp_path))
         with pytest.raises(ValueError, match="no Wilson count extractor"):
