@@ -10,11 +10,13 @@ out.
 
 The scheduler is a thin loop over machinery that already exists:
 
-* each measurement is a :func:`repro.store.cached_run` at the cell's
-  current budget, so a grown budget computes **only the new suffix**
-  (the runner's ``first_trial`` fast-forward + the store's
-  ``best_prefix``), and re-measuring an unchanged budget is a pure
-  cache hit;
+* each round satisfies every cell at its current budget through
+  :meth:`~repro.campaigns.runner.CampaignRunner.satisfy` — a
+  :func:`repro.store.cached_run` per cell, so a grown budget computes
+  **only the new suffix** (the runner's ``first_trial`` fast-forward +
+  the store's ``best_prefix``), re-measuring an unchanged budget is a
+  pure cache hit, and on the vectorized backend a round's ``mac``
+  top-ups run as pooled slotted-engine calls;
 * because every decision is a deterministic function of stored
   (bitwise-reproducible) tables, an interrupted adaptive run resumed
   later replays the same grant sequence against the store and lands on
@@ -39,7 +41,6 @@ from repro import obs
 from repro.analysis.theory import wilson_interval
 from repro.campaigns.runner import write_snapshot
 from repro.campaigns.spec import CampaignSpec, CampaignUnit
-from repro.store.cache import cached_run
 from repro.store.keys import CODE_VERSION
 from repro.utils.validation import check_positive
 
@@ -211,22 +212,18 @@ def adaptive_run(
         ) as round_span:
             cells = []
             round_computed = 0
-            for unit, n in zip(units, budgets):
-                grown = replace(unit, n_trials=n)
-                outcome = cached_run(
-                    runner.store,
-                    runner.runner_for(grown),
-                    grown.spec,
-                    seed=grown.seed,
-                )
+            grown_units = [
+                replace(unit, n_trials=n) for unit, n in zip(units, budgets)
+            ]
+            for grown, outcome in runner.satisfy(grown_units):
                 result.trials_computed += outcome.trials_computed
                 round_computed += outcome.trials_computed
-                successes, trials = WILSON_COUNTS[unit.kind](outcome.table)
+                successes, trials = WILSON_COUNTS[grown.kind](outcome.table)
                 low, high = wilson_interval(successes, trials)
                 cells.append(
                     AdaptiveCell(
                         unit=grown,
-                        n_trials=n,
+                        n_trials=grown.n_trials,
                         width=high - low,
                         successes=successes,
                         trials=trials,

@@ -7,6 +7,16 @@ re-run is pure cache hits, a killed run resumes for free (the store
 ``status`` and CI artifacts), and raising ``--trials`` tops every unit
 up from its stored prefix instead of recomputing it.
 
+On the vectorized backend the ``mac`` units of a pass are pooled: the
+first time ``cached_run`` asks one of them to compute, the pass's
+remaining ``mac`` units are scanned for the trial ranges they miss, and
+all of those run as a few wide slotted-engine calls (the engine's cost
+is per event slot, not per lane; DESIGN §7).  Each unit then takes its
+slice through its own ``cached_run``, so keys, outcomes, top-ups, the
+journal and every stored byte are those of per-unit runs.  A warm pass
+never scans, and a unit whose stored prefix changed after the scan
+runs on its own instead of taking a stale slice.
+
 ``report`` renders the campaign's aggregate tables **from the store
 alone** — it never computes trials, and complains precisely about
 what is missing.  Because stored tables are canonical (backend- and
@@ -45,9 +55,12 @@ import logging
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import obs
 from repro.campaigns.spec import CampaignSpec, CampaignUnit
 from repro.experiments import TRIAL_AGGREGATES, TRIAL_KINDS, ExperimentRunner
+from repro.experiments.mac import mac_trial
 from repro.experiments.results import ResultTable
 from repro.store.cache import cached_run
 from repro.store.keys import CODE_VERSION
@@ -88,6 +101,106 @@ def _journal(path):
         yield append
     finally:
         os.close(fd)
+
+
+#: Lanes after which a pool computation stops collecting further units;
+#: the rest are pooled when one of them first computes.  Bounds the
+#: records held at once on big campaigns (each unit already fills 512-
+#: lane engine calls once its budget reaches that).
+POOL_LANES = 2048
+
+
+class _MacPool:
+    """The missing trials of a unit list's pooled ``mac`` units, run as
+    wide slotted-engine calls when one of them first must compute.
+
+    ``pooled`` holds the indices of the units the pool may serve.
+    :meth:`take` hands a unit its records only when ``cached_run`` asks
+    for exactly the range the scan found missing.
+    """
+
+    def __init__(self, store: ResultStore, units, pooled: set) -> None:
+        self.store = store
+        self.units = units
+        self.pooled = pooled
+        self.scanned = -1  # units up to this index have been scanned
+        self.slices: dict[int, tuple[int, list[dict]]] = {}
+
+    def take(self, index: int, first_trial: int) -> list[dict] | None:
+        """Unit ``index``'s records from ``first_trial`` on, or ``None``
+        when the pool did not compute that range (the store changed
+        after the scan) and the unit must run on its own."""
+        if index > self.scanned:
+            self._compute(index, first_trial)
+        start, records = self.slices.pop(index, (None, None))
+        return records if start == first_trial else None
+
+    def _compute(self, index: int, first_trial: int) -> None:
+        # Unit ``index`` misses trials ``first_trial`` on; scan the
+        # pooled units after it for the ranges they miss.
+        wanted = {index: first_trial}
+        lanes = self.units[index].n_trials - first_trial
+        # a unit repeating an earlier one's key will be a store hit
+        seen = {self.units[index].key().digest}
+        self.scanned = index
+        for j in sorted(self.pooled):
+            if j <= index:
+                continue
+            if lanes >= POOL_LANES:
+                break
+            self.scanned = j
+            unit = self.units[j]
+            key = unit.key()
+            if key.digest in seen or self.store.has(key):
+                continue
+            seen.add(key.digest)
+            prior = self.store.best_prefix(key)
+            n0 = 0 if prior is None else len(prior)
+            if n0 < unit.n_trials:
+                wanted[j] = n0
+                lanes += unit.n_trials - n0
+        specs, children = [], []
+        for j, n0 in wanted.items():
+            unit = self.units[j]
+            # the seeds a per-unit run fast-forwarded past n0 would use
+            seeds = np.random.SeedSequence(unit.seed).spawn(unit.n_trials)
+            specs += [unit.spec] * (unit.n_trials - n0)
+            children += seeds[n0:]
+        from repro.experiments import batch
+
+        with obs.span("campaign.mac_pool", units=len(wanted), lanes=lanes):
+            records = batch.batch_mac_trials(specs, children)
+        pos = 0
+        for j, n0 in wanted.items():
+            count = self.units[j].n_trials - n0
+            self.slices[j] = (n0, [
+                {"trial": n0 + offset, **record}
+                for offset, record in enumerate(records[pos : pos + count])
+            ])
+            pos += count
+
+
+class _PooledRunner:
+    """A pooled ``mac`` unit's runner for ``cached_run``: its trials
+    come from the pool, or from the unit's own ``runner`` when the pool
+    does not hold the requested range."""
+
+    def __init__(self, runner: ExperimentRunner, pool: _MacPool,
+                 index: int) -> None:
+        self.runner = runner
+        self.pool = pool
+        self.index = index
+        self.trial = runner.trial
+        self.max_trials = runner.max_trials
+        self.stop_when = runner.stop_when
+
+    def run(self, spec, seed=0, *, first_trial: int = 0) -> ResultTable:
+        records = self.pool.take(self.index, first_trial)
+        if records is None:
+            return self.runner.run(spec, seed=seed, first_trial=first_trial)
+        table = ResultTable()
+        table.extend(records)
+        return table
 
 
 class MissingUnitsError(RuntimeError):
@@ -179,6 +292,41 @@ class CampaignRunner:
             backend=self._backend_for(unit.kind),
         )
 
+    def satisfy(self, units: list[CampaignUnit]):
+        """Satisfy ``units`` store-first, in order; yield each
+        ``(unit, CachedRun)`` as it ends.
+
+        Every unit goes through :func:`~repro.store.cached_run`.  On the
+        vectorized backend the ``mac`` units share one lazy
+        :class:`_MacPool`, so their missing trials run as a few wide
+        engine calls (up to :data:`POOL_LANES` lanes a computation)
+        instead of one call per unit.
+        """
+        pooled = {
+            i for i, unit in enumerate(units)
+            if TRIAL_KINDS[unit.kind] is mac_trial
+            and self._backend_for(unit.kind) == "vectorized"
+        }
+        pool = _MacPool(self.store, units, pooled)
+        for index, unit in enumerate(units):
+            runner = self.runner_for(unit)
+            if index in pooled:
+                runner = _PooledRunner(runner, pool, index)
+            with obs.span(
+                "campaign.unit",
+                label=unit.label(),
+                kind=unit.kind,
+                arm=unit.arm,
+            ) as sp:
+                outcome = cached_run(
+                    self.store, runner, unit.spec, seed=unit.seed
+                )
+                sp.note(
+                    outcome=outcome.outcome,
+                    trials_computed=outcome.trials_computed,
+                )
+            yield unit, outcome
+
     def checkpoint_path(self, campaign: CampaignSpec):
         """Where this campaign's checkpoint snapshot lives in the store."""
         return self.store.campaign_dir() / f"{campaign.name}.json"
@@ -225,21 +373,7 @@ class CampaignRunner:
             n_trials=result.n_trials,
         ):
             append(fingerprint)
-            for unit in units:
-                with obs.span(
-                    "campaign.unit",
-                    label=unit.label(),
-                    kind=unit.kind,
-                    arm=unit.arm,
-                ) as sp:
-                    outcome = cached_run(
-                        self.store, self.runner_for(unit), unit.spec,
-                        seed=unit.seed,
-                    )
-                    sp.note(
-                        outcome=outcome.outcome,
-                        trials_computed=outcome.trials_computed,
-                    )
+            for unit, outcome in self.satisfy(units):
                 obs.inc("campaign.units")
                 obs.inc(f"campaign.unit.{outcome.outcome}")
                 obs.inc("campaign.trials_computed", outcome.trials_computed)

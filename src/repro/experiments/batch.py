@@ -40,6 +40,7 @@ with a batched ``batch(spec, children)`` implementation.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from typing import Callable
 
 import numpy as np
@@ -57,17 +58,12 @@ from repro.experiments.runner import (
 from repro.experiments.spec import ScenarioSpec
 from repro.fullduplex.batch import BatchFullDuplexEngine
 from repro.fullduplex.link import DATA_PILOT_BITS
-from repro.mac.batch import SlottedMacEngine
+from repro.mac.batch import SlottedMacEngine, shared_spec
 from repro.phy import coding as lc
 from repro.utils.rng import ensure_rng, random_bits, spawn_rngs
 
 #: Per-process LRU cache of batched PHY engines, keyed by the spec.
 _ENGINE_CACHE: OrderedDict[ScenarioSpec, BatchFullDuplexEngine] = (
-    OrderedDict()
-)
-
-#: Per-process LRU cache of slotted MAC engines, keyed by the spec.
-_MAC_ENGINE_CACHE: OrderedDict[ScenarioSpec, SlottedMacEngine] = (
     OrderedDict()
 )
 
@@ -84,13 +80,6 @@ def _engine_for(spec: ScenarioSpec) -> BatchFullDuplexEngine:
         spec,
         lambda s: BatchFullDuplexEngine(link=_stack_for(s).link),
         label="batch.phy_engine",
-    )
-
-
-def _mac_engine_for(spec: ScenarioSpec) -> SlottedMacEngine:
-    """Build (or reuse) the slotted MAC engine for ``spec``."""
-    return _cached_engine(
-        _MAC_ENGINE_CACHE, spec, SlottedMacEngine, label="batch.mac_engine"
     )
 
 
@@ -316,7 +305,16 @@ def batch_energy_trials(spec: ScenarioSpec, children) -> list[dict]:
     return records
 
 
-def batch_mac_trials(spec: ScenarioSpec, children) -> list[dict]:
+#: Most lanes per slotted-engine call.  The slot loop's per-iteration
+#: cost is amortised across lanes, so the MAC batch wants far more lanes
+#: per call than the sample-level trials (whose memory footprint per
+#: lane is a full waveform window).
+MAC_CHUNK = 512
+
+
+def batch_mac_trials(
+    spec: ScenarioSpec | Sequence[ScenarioSpec], children
+) -> list[dict]:
     """Batched :func:`~repro.experiments.mac.mac_trial` (statistical).
 
     Runs whole chunks of contention replications on the slotted engine
@@ -324,17 +322,44 @@ def batch_mac_trials(spec: ScenarioSpec, children) -> list[dict]:
     bit-identical to the serial trials'; delivery/abort/energy dynamics
     are statistically equivalent under the slot-quantisation contract
     documented in DESIGN §7 and pinned by the golden suite.
+
+    ``spec`` is either one spec for every lane or a sequence of one
+    spec per lane — how a campaign pools the missing trials of many
+    units into one call.  Lanes are grouped by
+    :func:`repro.mac.batch.shared_spec` and each group runs in engine
+    calls of at most :data:`MAC_CHUNK` lanes; records come back in
+    lane order, and a lane's record does not depend on the others.
     """
     children = list(children)
     if not children:
         return []
-    return _mac_engine_for(spec).run_chunk(children)
+    specs = (
+        [spec] * len(children)
+        if isinstance(spec, ScenarioSpec)
+        else list(spec)
+    )
+    if len(specs) != len(children):
+        raise ValueError(f"{len(specs)} lane specs for {len(children)} seeds")
+    shared: dict[ScenarioSpec, ScenarioSpec] = {}
+    groups: dict[ScenarioSpec, list[int]] = {}
+    for lane, lane_spec in enumerate(specs):
+        if lane_spec not in shared:
+            shared[lane_spec] = shared_spec(lane_spec)
+        groups.setdefault(shared[lane_spec], []).append(lane)
+    records: list = [None] * len(children)
+    for group_spec, lanes in groups.items():
+        engine = SlottedMacEngine(group_spec)
+        for start in range(0, len(lanes), MAC_CHUNK):
+            part = lanes[start : start + MAC_CHUNK]
+            out = engine.run_chunk(
+                [children[i] for i in part], [specs[i] for i in part]
+            )
+            for lane, record in zip(part, out):
+                records[lane] = record
+    return records
 
 
-# The slot loop's per-iteration cost is amortised across lanes, so the
-# MAC batch wants far more lanes per call than the sample-level trials
-# (whose memory footprint per lane is a full waveform window).
-batch_mac_trials.preferred_chunk = 512
+batch_mac_trials.preferred_chunk = MAC_CHUNK
 
 
 #: Scalar trial function → batched implementation.

@@ -47,7 +47,7 @@ from repro.utils.rng import ensure_rng, random_bits, spawn_rngs
 from repro.utils.validation import check_positive
 
 #: Upper bound on entries in each per-process spec-keyed cache (built
-#: stacks here, batched engines in :mod:`repro.experiments.batch`).  A
+#: stacks here, batched PHY engines in :mod:`repro.experiments.batch`).  A
 #: campaign grid can visit hundreds of distinct specs; every entry pins
 #: sample-rate state, so the caches evict least-recently-used entries
 #: past this cap instead of growing without limit.

@@ -298,8 +298,13 @@ class ScenarioSpec:
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Flat JSON-ready dict of every field."""
-        return dataclasses.asdict(self)
+        """Flat JSON-ready dict of every field.
+
+        Every field is a scalar, so a shallow dict suffices; unlike
+        ``dataclasses.asdict`` it does not recurse or deep-copy, which
+        matters because every store key derivation calls it.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":

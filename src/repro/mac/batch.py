@@ -40,9 +40,25 @@ closely matching goodput/abort/energy statistics), which
 Lane ``i`` consumes only the generators derived from trial ``i``'s seed
 child, so records are independent of the chunk size and the store's
 top-up/truncation contracts remain valid.
+
+Lanes of different specs
+------------------------
+One engine call may carry lanes of different specs, so a campaign can
+pool the missing trials of many units into a few wide calls (the slot
+loop costs per visited slot, not per lane).  The fields in
+:data:`LANE_FIELDS` — arrival rate, load asymmetry and loss
+probability — are read per lane; everything else (slot size, horizon,
+packet and payload bits, link count, retry budget, policy and its
+parameters) is shared, and lanes are grouped by :func:`shared_spec`.
+A lane's record does not depend on the other lanes: every draw comes
+from its own per-link generators, and the union of all lanes' event
+slots includes each lane's own, so a lane sees the same transitions at
+the same slots whatever else shares the call.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -60,8 +76,27 @@ _IDLE, _TX, _WAIT, _BACKOFF, _ACK = 0, 1, 2, 3, 4
 _EVENT_BLOCK = 128
 
 
+#: Spec fields the engine reads per lane; all other fields are shared by
+#: every lane of one call.
+LANE_FIELDS = (
+    "mac_arrival_rate_pps", "mac_load_asymmetry", "mac_loss_probability",
+)
+
+
 def _ceil_div(a, b):
     return -(-a // b)
+
+
+def shared_spec(spec):
+    """``spec`` with its :data:`LANE_FIELDS` at their defaults.
+
+    Lanes whose specs have equal shared specs may run in one call.
+    """
+    return spec.replace(**{
+        f.name: f.default
+        for f in dataclasses.fields(spec)
+        if f.name in LANE_FIELDS
+    })
 
 
 class SlottedMacEngine:
@@ -72,7 +107,8 @@ class SlottedMacEngine:
     spec:
         A :class:`~repro.experiments.spec.ScenarioSpec`; the engine
         mirrors ``mac_trial``'s workload (``spec.build_mac_config()``)
-        and policy arm (``spec.build_mac_policy()``).
+        and policy arm (``spec.build_mac_policy()``); the lanes of
+        :meth:`run_chunk` share all of it but :data:`LANE_FIELDS`.
     """
 
     def __init__(self, spec) -> None:
@@ -95,8 +131,7 @@ class SlottedMacEngine:
         self.horizon = float(cfg.horizon_seconds)
         grace = 50.0 * cfg.packet_seconds
         self.max_slot = int((self.horizon + grace) / self.slot_sec)
-        self.rates = np.asarray(cfg.link_arrival_rates(), dtype=float)
-        self.p_loss = float(cfg.loss.loss_probability)
+        self.links = int(cfg.num_links)
         self.max_retries = int(policy.max_retries)
 
         if self.is_fd:
@@ -126,17 +161,41 @@ class SlottedMacEngine:
 
     # -- lane-local randomness --------------------------------------------
 
-    def _draw_arrivals(self, children):
+    def _lane_params(self, specs):
+        """Per-lane ``(lanes, links)`` arrival rates and ``(lanes,)``
+        loss probabilities of ``specs``, checked to share this engine's
+        :func:`shared_spec`."""
+        shared = shared_spec(self.spec)
+        params = {}
+        rates, p_loss = [], []
+        for spec in specs:
+            if spec not in params:
+                if shared_spec(spec) != shared:
+                    raise ValueError(
+                        "lanes of one engine call may differ only in "
+                        f"{LANE_FIELDS}"
+                    )
+                cfg = spec.build_mac_config()
+                params[spec] = (
+                    cfg.link_arrival_rates(), cfg.loss.loss_probability
+                )
+            lane_rates, lane_loss = params[spec]
+            rates.append(lane_rates)
+            p_loss.append(lane_loss)
+        return np.asarray(rates, dtype=float), np.asarray(p_loss, dtype=float)
+
+    def _draw_arrivals(self, children, rates):
         """Per-lane Poisson workloads, drawn exactly as the serial path.
 
         Each lane replays ``NetworkSimulator.run``'s seeding verbatim —
         one spawned child generator per link, exponential-gap arrivals
-        from it — so lane *i*'s offered workload is bit-identical to
-        serial trial *i*'s, and only the contention *dynamics* are slot
-        quantised.  Every draw comes from lane-local generators, so
-        records are chunk-size independent.
+        from it at that lane's per-link ``rates`` — so lane *i*'s
+        offered workload is bit-identical to serial trial *i*'s, and
+        only the contention *dynamics* are slot quantised.  Every draw
+        comes from lane-local generators, so records are chunk-size
+        independent.
         """
-        lanes, links = len(children), self.rates.size
+        lanes, links = len(children), self.links
         link_rngs = []
         arrivals = []
         counts = np.zeros((lanes, links), dtype=np.int64)
@@ -147,7 +206,7 @@ class SlottedMacEngine:
             lane_arrivals = []
             for j in range(links):
                 arr = poisson_arrivals(
-                    float(self.rates[j]), self.horizon, lane_rngs[j]
+                    float(rates[i, j]), self.horizon, lane_rngs[j]
                 )
                 lane_arrivals.append(arr)
                 counts[i, j] = arr.size
@@ -167,18 +226,28 @@ class SlottedMacEngine:
 
     # -- chunk execution ---------------------------------------------------
 
-    def run_chunk(self, children) -> list[dict]:
+    def run_chunk(self, children, specs) -> list[dict]:
         """Run one replication per seed child; one record per lane.
 
-        Records carry exactly the keys of
-        :func:`repro.experiments.mac.flatten_network_metrics`.
+        ``specs`` gives lane *i* its spec, which may differ from the
+        engine's only in :data:`LANE_FIELDS`.  Records carry exactly the
+        keys of :func:`repro.experiments.mac.flatten_network_metrics`.
         """
         children = list(children)
         if not children:
             return []
-        lanes, links = len(children), self.rates.size
-        counts, arr_sec, arr_slot, link_rngs = self._draw_arrivals(children)
+        specs = list(specs)
+        if len(specs) != len(children):
+            raise ValueError(
+                f"{len(specs)} lane specs for {len(children)} seeds"
+            )
+        lanes, links = len(children), self.links
+        rates, lane_loss = self._lane_params(specs)
+        counts, arr_sec, arr_slot, link_rngs = self._draw_arrivals(
+            children, rates
+        )
         n = lanes * links
+        p_loss = np.repeat(lane_loss, links)
         kmax = arr_slot.shape[2]
         arr_sec_f = arr_sec.reshape(n, kmax)
         arr_slot_f = arr_slot.reshape(n, kmax)
@@ -286,7 +355,7 @@ class SlottedMacEngine:
                     if fg.size:
                         phase[fg] = _ACK
                         phase_end[fg] = t + self.ack_slots
-                        ack_corrupt[fg] = take(fg) < self.p_loss
+                        ack_corrupt[fg] = take(fg) < p_loss[fg]
                         m_rx_e[fg] += self.ack_rx_e
                         m_tx_e[fg] += self.ack_tx_e
                         m_busy[fg] += self.ack_busy
@@ -378,7 +447,7 @@ class SlottedMacEngine:
                 phase_end[fs] = t + _ceil_div(abits, self.slot_bits)
                 u_loss = take(fs)
                 u_pos = take(fs)
-                lost = u_loss < self.p_loss
+                lost = u_loss < p_loss[fs]
                 fl = fs[lost]
                 if fl.size:
                     ob = (u_pos[lost] * abits[lost]).astype(np.int64)

@@ -234,3 +234,38 @@ class TestAdaptiveCli:
                 "--store", str(tmp_path), "--adaptive",
             ])
         assert "precision" in capsys.readouterr().err
+
+
+class TestAdaptiveMacPooling:
+    def test_rounds_pool_mac_topups(self, tmp_path, monkeypatch):
+        from repro.experiments import TRIAL_KINDS, ExperimentRunner
+        from repro.mac.batch import SlottedMacEngine
+        from repro.store.cache import canonical_table
+        from repro.store.codec import encode
+
+        calls = []
+        original = SlottedMacEngine.run_chunk
+
+        def counted(self, children, *args, **kwargs):
+            children = list(children)
+            calls.append(len(children))
+            return original(self, children, *args, **kwargs)
+
+        monkeypatch.setattr(SlottedMacEngine, "run_chunk", counted)
+        store = ResultStore(tmp_path)
+        runner = CampaignRunner(store=store, backend="vectorized")
+        result = adaptive_run(
+            runner, _campaign("mac", floor=2), precision=1e-6, max_rounds=3
+        )
+        # Every round doubles all three cells, whose lanes differ in
+        # loss probability only: one pooled engine call per round.
+        assert calls == [6, 6, 12]
+        for cell in result.cells:
+            unit = cell.unit
+            assert unit.n_trials == 8
+            cold = ExperimentRunner(
+                trial=TRIAL_KINDS["mac"], max_trials=8, backend="vectorized"
+            ).run(unit.spec, seed=unit.seed)
+            assert store.path_for(unit.key()).read_bytes() == encode(
+                canonical_table(unit.key(), unit.spec, cold.records)
+            )

@@ -286,7 +286,7 @@ def test_store_round_trip_shares_result_keys(tmp_path, trial_name):
 def test_engine_caches_are_lru_bounded():
     from collections import OrderedDict
 
-    from repro.experiments import batch, runner
+    from repro.experiments import runner
 
     # The shared helper: bounded, evicting least-recently-used first.
     cache = OrderedDict()
@@ -301,13 +301,3 @@ def test_engine_caches_are_lru_bounded():
     runner._cached_engine(cache, 4, lambda s: pytest.fail("hit rebuilt"))
     runner._cached_engine(cache, -1, lambda s: s)
     assert 4 in cache and 5 not in cache
-
-    # The real MAC-engine cache goes through the same helper and stays
-    # bounded across a grid of distinct specs (construction is cheap —
-    # no staging — so this sweeps well past the cap).
-    base = get_scenario("sparse-mac")
-    batch._MAC_ENGINE_CACHE.clear()
-    for links in range(2, runner.MAX_CACHED_ENGINES + 10):
-        batch._mac_engine_for(base.replace(mac_num_links=links))
-    assert len(batch._MAC_ENGINE_CACHE) == runner.MAX_CACHED_ENGINES
-    batch._MAC_ENGINE_CACHE.clear()
