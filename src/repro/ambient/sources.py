@@ -14,6 +14,7 @@ channel layer scales by transmit power and path loss.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -43,43 +44,38 @@ class AmbientSource(ABC):
 
         Row ``i`` is **bitwise identical** to ``samples(count, rngs[i])``
         — the contract the batched trial engine depends on.  The base
-        implementation simply loops; sources whose synthesis shares
-        seed-independent work across realisations override it (see
-        :meth:`OfdmLikeSource.batch_samples`).
+        implementation fills a preallocated array with one
+        :meth:`samples` call per lane.
         """
         rngs = list(rngs)
-        if not rngs:
-            return np.empty((0, max(int(count), 0)), dtype=complex)
-        return np.stack([self.samples(count, rng) for rng in rngs])
+        out = np.empty((len(rngs), max(int(count), 0)), dtype=complex)
+        for lane, rng in enumerate(rngs):
+            out[lane] = self.samples(count, rng)
+        return out
 
     def mean_power(self) -> float:
         """Nominal mean power of the emitted waveform (always 1.0)."""
         return 1.0
 
 
-#: Module-level cache of the seed-independent OFDM tone matrices,
-#: shared across source instances: every sweep point builds a fresh
-#: source, but the matrix depends only on the key below, so caching it
-#: per instance would pin one ~n×S complex copy per point for the
-#: process lifetime.  A handful of entries covers the distinct waveform
-#: lengths (data vs frame exchanges) while bounding memory.
-_PHASE_MATRIX_CACHE: dict[tuple, np.ndarray] = {}
-_PHASE_MATRIX_CACHE_MAX = 4
-
-
+@functools.lru_cache(maxsize=4)
 def _phase_matrix_for(
     n: int, sample_rate_hz: float, bandwidth_hz: float, subcarriers: int
 ) -> np.ndarray:
-    """The ``(n, subcarriers)`` tone matrix ``exp(2jπ t ⊗ f)``."""
-    key = (n, sample_rate_hz, bandwidth_hz, subcarriers)
-    matrix = _PHASE_MATRIX_CACHE.get(key)
-    if matrix is None:
-        freqs = np.linspace(-bandwidth_hz / 2, bandwidth_hz / 2, subcarriers)
-        t = np.arange(n) / sample_rate_hz
-        matrix = np.exp(2j * np.pi * np.outer(t, freqs))
-        while len(_PHASE_MATRIX_CACHE) >= _PHASE_MATRIX_CACHE_MAX:
-            _PHASE_MATRIX_CACHE.pop(next(iter(_PHASE_MATRIX_CACHE)))
-        _PHASE_MATRIX_CACHE[key] = matrix
+    """The ``(n, subcarriers)`` tone matrix ``exp(2jπ t ⊗ f)``.
+
+    Cached at module level and shared across source instances: every
+    sweep point builds a fresh source, but the matrix depends only on
+    the arguments, so caching it per instance would pin one ~n×S complex
+    copy per point for the process lifetime.  A handful of entries
+    covers the distinct waveform lengths (data vs frame exchanges) while
+    bounding memory.  The matrix is read-only because every caller
+    shares it.
+    """
+    freqs = np.linspace(-bandwidth_hz / 2, bandwidth_hz / 2, subcarriers)
+    t = np.arange(n) / sample_rate_hz
+    matrix = np.exp(2j * np.pi * np.outer(t, freqs))
+    matrix.flags.writeable = False
     return matrix
 
 
@@ -123,8 +119,22 @@ class OfdmLikeSource(AmbientSource):
                 f"({self.bandwidth_hz} > {self.sample_rate_hz})"
             )
 
-    def _realize(self, phase: np.ndarray, gen) -> np.ndarray:
-        """One block from a prebuilt phase matrix (shared by both paths)."""
+    def samples(self, count: int, rng=None) -> np.ndarray:
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        gen = ensure_rng(rng)
+        n = int(count)
+        if n == 0:
+            return np.empty(0, dtype=complex)
+        # Subcarrier frequencies uniform in [-B/2, B/2]; each carries a
+        # complex Gaussian symbol stream held for the whole block (the
+        # block is far shorter than an OFDM symbol at simulation scale).
+        # The seed-independent tone matrix comes from the bounded
+        # module-level cache, so only the draw and the product are paid
+        # per call.
+        phase = _phase_matrix_for(
+            n, self.sample_rate_hz, self.bandwidth_hz, self.subcarriers
+        )
         coeff = (
             gen.standard_normal(self.subcarriers)
             + 1j * gen.standard_normal(self.subcarriers)
@@ -137,48 +147,11 @@ class OfdmLikeSource(AmbientSource):
             wave /= np.sqrt(power)
         return wave
 
-    def samples(self, count: int, rng=None) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        gen = ensure_rng(rng)
-        n = int(count)
-        if n == 0:
-            return np.empty(0, dtype=complex)
-        # Subcarrier frequencies uniform in [-B/2, B/2]; each carries a
-        # complex Gaussian symbol stream held for the whole block (the
-        # block is far shorter than an OFDM symbol at simulation scale).
-        # The matrix is rebuilt per call on purpose: the scalar API stays
-        # allocation-free; only the batch path amortises it through the
-        # bounded module-level cache.
-        freqs = np.linspace(
-            -self.bandwidth_hz / 2, self.bandwidth_hz / 2, self.subcarriers
-        )
-        t = np.arange(n) / self.sample_rate_hz
-        return self._realize(np.exp(2j * np.pi * np.outer(t, freqs)), gen)
-
     def batch_samples(self, count: int, rngs) -> np.ndarray:
-        """Stacked realisations sharing one phase matrix across lanes.
-
-        Each lane is still a lane-local generator draw plus the same
-        matrix–vector product the scalar path performs, so rows stay
-        bitwise identical to per-lane :meth:`samples` calls while the
-        dominant ``exp`` cost is paid once per batch.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        rngs = list(rngs)
-        n = int(count)
-        if not rngs or n == 0:
-            # Matches the scalar path: samples(0, rng) returns before
-            # any generator draw, so there is no stream to advance.
-            return np.empty((len(rngs), n), dtype=complex)
-        phase = _phase_matrix_for(
-            n, self.sample_rate_hz, self.bandwidth_hz, self.subcarriers
-        )
-        out = np.empty((len(rngs), n), dtype=complex)
-        for lane, rng in enumerate(rngs):
-            out[lane] = self._realize(phase, ensure_rng(rng))
-        return out
+        """Per-lane :meth:`samples` calls into one preallocated array;
+        every lane reads the same cached tone matrix.  Defined on the
+        class so ``perfbench/layers.py`` can trace it by name."""
+        return super().batch_samples(count, rngs)
 
 
 @dataclass
@@ -209,37 +182,6 @@ class ToneSource(AmbientSource):
         phase = gen.uniform(0, 2 * np.pi) if self.random_phase else 0.0
         t = np.arange(n) / self.sample_rate_hz
         return np.exp(1j * (2 * np.pi * self.offset_hz * t + phase))
-
-    def batch_samples(self, count: int, rngs) -> np.ndarray:
-        """Stacked tone realisations; zero-offset tones fill by value.
-
-        At ``offset_hz == 0`` the scalar argument ``2π·0·t + phase`` is a
-        constant array, so one per-lane ``exp`` fills the whole row with
-        the exact sample value the scalar path computes.  Non-zero
-        offsets fall back to a per-lane ``exp`` over the full window.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        rngs = list(rngs)
-        n = int(count)
-        out = np.empty((len(rngs), n), dtype=complex)
-        t = np.arange(n) / self.sample_rate_hz
-        for lane, rng in enumerate(rngs):
-            gen = ensure_rng(rng)
-            # Drawn even for n == 0: the scalar path consumes the phase
-            # before returning its empty array, and lane generators must
-            # stay stream-for-stream aligned with it.
-            phase = gen.uniform(0, 2 * np.pi) if self.random_phase else 0.0
-            if n == 0:
-                continue
-            if self.offset_hz == 0.0:
-                head = np.exp(1j * (2 * np.pi * self.offset_hz * t[:1] + phase))
-                out[lane] = head[0]
-            else:
-                out[lane] = np.exp(
-                    1j * (2 * np.pi * self.offset_hz * t + phase)
-                )
-        return out
 
 
 @dataclass

@@ -128,14 +128,11 @@ class LinkGains:
 
 @dataclass
 class BatchLinkGains:
-    """A stack of per-lane :class:`LinkGains` with batched composition.
+    """A stack of per-lane :class:`LinkGains`, one per batch lane.
 
     One object per Monte-Carlo batch: lane ``i`` holds trial ``i``'s
     block-fading realisation, drawn from trial ``i``'s own channel
     generator, so scalar and batched runs see identical gains.
-    :meth:`received` performs the same field composition as
-    :meth:`LinkGains.received` with the lane axis broadcast in front —
-    every lane of the result is bitwise identical to the scalar call.
 
     Attributes
     ----------
@@ -163,12 +160,6 @@ class BatchLinkGains:
     def noise_power_watt(self) -> float:
         return self.lanes[0].noise_power_watt
 
-    def gain_column(self, a: str, b: str) -> np.ndarray:
-        """The ``a → b`` gain of every lane as an ``(N, 1)`` column."""
-        return np.array(
-            [lane.gain(a, b) for lane in self.lanes], dtype=complex
-        )[:, None]
-
     def received(
         self,
         device: str,
@@ -177,11 +168,11 @@ class BatchLinkGains:
         rngs=None,
         include_noise: bool = True,
     ) -> np.ndarray:
-        """Batched counterpart of :meth:`LinkGains.received`.
+        """:meth:`LinkGains.received` per lane, into one ``(N, samples)``
+        array.
 
         ``ambient`` and each reflection waveform are ``(N, samples)``
-        stacks; ``rngs`` supplies one noise generator per lane (each
-        consumed exactly as the scalar path consumes its noise rng).
+        stacks; ``rngs`` supplies one noise generator per lane.
         """
         x = np.asarray(ambient, dtype=complex)
         if x.ndim != 2 or x.shape[0] != len(self.lanes):
@@ -189,31 +180,6 @@ class BatchLinkGains:
                 f"ambient must be (lanes, samples) with {len(self.lanes)} "
                 f"lanes, got shape {x.shape}"
             )
-        amp_src = np.sqrt(self.source_power_watt)
-        field_sum = self.gain_column("source", device) * x
-        if reflections:
-            for tx, gamma in reflections.items():
-                if tx == device:
-                    continue
-                g = np.asarray(gamma, dtype=float)
-                if g.shape != x.shape:
-                    raise ValueError(
-                        f"reflection waveform for {tx!r} has shape "
-                        f"{g.shape}, ambient has {x.shape}"
-                    )
-                # The dyadic amplitude is formed per lane in Python
-                # complex arithmetic, exactly as the scalar path does —
-                # CPython and numpy complex products may differ in the
-                # last ulp, and the equivalence contract is bitwise.
-                dyadic = np.array(
-                    [
-                        lane.gain("source", tx) * lane.gain(tx, device)
-                        for lane in self.lanes
-                    ],
-                    dtype=complex,
-                )[:, None]
-                field_sum = field_sum + dyadic * (g * x)
-        y = amp_src * field_sum
         if include_noise and self.noise_power_watt > 0:
             if rngs is None:
                 raise ValueError("batched noise needs one rng per lane")
@@ -222,13 +188,19 @@ class BatchLinkGains:
                 raise ValueError(
                     f"need {len(self.lanes)} noise rngs, got {len(rngs)}"
                 )
-            noise = np.empty_like(y)
-            for lane, rng in enumerate(rngs):
-                noise[lane] = complex_awgn(
-                    x.shape[1], self.noise_power_watt, rng
-                )
-            y = y + noise
-        return y
+        else:
+            rngs = [None] * len(self.lanes)
+        reflections = reflections or {}
+        out = np.empty_like(x)
+        for lane, (gains, rng) in enumerate(zip(self.lanes, rngs)):
+            out[lane] = gains.received(
+                device,
+                x[lane],
+                {tx: gamma[lane] for tx, gamma in reflections.items()},
+                rng=rng,
+                include_noise=include_noise,
+            )
+        return out
 
 
 @dataclass

@@ -23,9 +23,10 @@ for trial ``i``:
    the draws is batched (see :mod:`repro.fullduplex.batch`).
 
 For the sample-level trial kinds (the BER pair, frame delivery and the
-energy exchange) the batched kernels are bitwise identical to their
-scalar counterparts, so ``backend="vectorized"`` reproduces
-``backend="serial"`` records exactly.  The ``mac`` kind runs on the
+energy exchange) the scalar trials run the same
+:class:`~repro.fullduplex.batch.BatchFullDuplexEngine` with one lane,
+and no lane's output depends on the others, so ``backend="vectorized"``
+reproduces ``backend="serial"`` records exactly.  The ``mac`` kind runs on the
 slotted contention engine (:mod:`repro.mac.batch`), whose slot
 quantisation makes it *statistically* rather than bitwise equivalent —
 see DESIGN §7 for the contract.  ``tests/test_batch_equivalence.py``
@@ -39,7 +40,6 @@ with a batched ``batch(spec, children)`` implementation.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 from typing import Callable
 
@@ -48,7 +48,6 @@ import numpy as np
 from repro.experiments.mac import mac_trial
 from repro.experiments.runner import (
     BITS_PER_TRIAL,
-    _cached_engine,
     _stack_for,
     energy_trial,
     feedback_ber_trial,
@@ -57,30 +56,8 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import ScenarioSpec
 from repro.fullduplex.batch import BatchFullDuplexEngine
-from repro.fullduplex.link import DATA_PILOT_BITS
 from repro.mac.batch import SlottedMacEngine, shared_spec
-from repro.phy import coding as lc
 from repro.utils.rng import ensure_rng, random_bits, spawn_rngs
-
-#: Per-process LRU cache of batched PHY engines, keyed by the spec.
-_ENGINE_CACHE: OrderedDict[ScenarioSpec, BatchFullDuplexEngine] = (
-    OrderedDict()
-)
-
-
-def _engine_for(spec: ScenarioSpec) -> BatchFullDuplexEngine:
-    """Build (or reuse) the batched engine for ``spec`` in this process.
-
-    The underlying stack comes from the runner's own cache, so scalar
-    and batched trials of one spec share a single built stack (and the
-    ambient source's amortised synthesis state).
-    """
-    return _cached_engine(
-        _ENGINE_CACHE,
-        spec,
-        lambda s: BatchFullDuplexEngine(link=_stack_for(s).link),
-        label="batch.phy_engine",
-    )
 
 
 def _lane_streams(children, count: int = 3) -> tuple[list, ...]:
@@ -97,18 +74,16 @@ def _lane_streams(children, count: int = 3) -> tuple[list, ...]:
     return streams
 
 
-def _stage_raw_exchange(spec, children, need_data: bool, need_feedback: bool):
-    """Shared staging + decode of the unframed BER exchange.
+def _raw_exchange(spec, children, need_data: bool, need_feedback: bool):
+    """The unframed BER exchange of ``forward_ber_trial`` /
+    ``feedback_ber_trial`` for every lane.
 
-    Mirrors ``forward_ber_trial`` / ``feedback_ber_trial``: both scalar
-    trials perform the identical draws and staging and differ only in
-    which direction they tally, so one batched staging serves both —
-    the direction not asked for is skipped (its decode is deterministic
-    and its noise generator is private, so skipping cannot perturb the
-    records).
+    Both trials perform the identical draws and differ only in which
+    direction they tally, so one exchange serves both — the direction
+    not asked for is skipped (its decode is deterministic and its noise
+    generator is private, so skipping cannot perturb the records).
     """
     stack = _stack_for(spec)
-    engine = _engine_for(spec)
     rng_ch, rng_bits, rng_run = _lane_streams(children)
     gains = stack.channel.realize_batch(stack.scene, rng_ch)
     data = np.stack([random_bits(r, BITS_PER_TRIAL) for r in rng_bits])
@@ -118,28 +93,13 @@ def _stage_raw_exchange(spec, children, need_data: bool, need_feedback: bool):
             for r in rng_bits
         ]
     )
-    pilot = DATA_PILOT_BITS
-    stream = np.concatenate(
-        [np.tile(pilot, (len(children), 1)), data], axis=1
+    decoded, fb_sent, fb_decoded = BatchFullDuplexEngine(
+        stack.link
+    ).raw_exchange(
+        gains, data, fb, rng_run,
+        need_data=need_data, need_feedback=need_feedback,
     )
-    chips = lc.encode_batch(stream, stack.config.phy.coding)
-    waves = np.repeat(chips, stack.config.phy.samples_per_chip, axis=1)
-    staged = engine.stage(
-        gains, waves, fb, feedback_enabled=True, rngs=rng_run,
-        need_a=need_feedback, need_b=need_data,
-    )
-    decoded_data = None
-    if need_data:
-        decoded_stream = engine.decode_aligned_bits(
-            staged, stream.shape[1], pilot, feedback_enabled=True
-        )
-        decoded_data = decoded_stream[:, pilot.size :]
-    fb_sent = fb_decoded = None
-    if need_feedback:
-        fb_sent, fb_decoded = engine.decode_feedback(
-            staged, feedback_enabled=True
-        )
-    return data, decoded_data, fb_sent, fb_decoded
+    return data, decoded, fb_sent, fb_decoded
 
 
 def batch_forward_ber_trials(spec: ScenarioSpec, children) -> list[dict]:
@@ -147,7 +107,7 @@ def batch_forward_ber_trials(spec: ScenarioSpec, children) -> list[dict]:
     children = list(children)
     if not children:
         return []
-    data, decoded, _, _ = _stage_raw_exchange(
+    data, decoded, _, _ = _raw_exchange(
         spec, children, need_data=True, need_feedback=False
     )
     errors = np.count_nonzero(decoded != data, axis=1)
@@ -163,7 +123,7 @@ def batch_feedback_ber_trials(spec: ScenarioSpec, children) -> list[dict]:
     children = list(children)
     if not children:
         return []
-    _, _, fb_sent, fb_decoded = _stage_raw_exchange(
+    _, _, fb_sent, fb_decoded = _raw_exchange(
         spec, children, need_data=False, need_feedback=True
     )
     errors = np.count_nonzero(fb_sent != fb_decoded, axis=1)
@@ -178,22 +138,16 @@ def batch_feedback_ber_trials(spec: ScenarioSpec, children) -> list[dict]:
     ]
 
 
-def batch_frame_delivery_trials(spec: ScenarioSpec, children) -> list[dict]:
-    """Batched :func:`~repro.experiments.runner.frame_delivery_trial`.
+def _framed_exchange(spec, children, need_a: bool):
+    """The framed exchange of ``frame_delivery_trial`` /
+    ``energy_trial`` for every lane: draws, staging and B's reception.
 
-    Synthesis, channel composition and staging are batched; preamble
-    acquisition and frame parsing stay per lane (sync is data-dependent
-    control flow), running the scalar receiver on each staged lane.
+    Returns ``(engine, frames, staged, delivered)``; A's side is staged
+    only with ``need_a`` (the harvest books need it, delivery does not).
     """
     from repro.phy.framing import random_frame
-    from repro.phy.receiver import BackscatterReceiver
-    from repro.phy.transmitter import BackscatterTransmitter
 
-    children = list(children)
-    if not children:
-        return []
     stack = _stack_for(spec)
-    engine = _engine_for(spec)
     rng_ch, rng_frame, rng_fb, rng_run = _lane_streams(children, 4)
     gains = stack.channel.realize_batch(stack.scene, rng_ch)
     payload_bytes = 16
@@ -207,98 +161,60 @@ def batch_frame_delivery_trials(spec: ScenarioSpec, children) -> list[dict]:
             for r in rng_fb
         ]
     )
-    phy = stack.config.phy
-    tx = BackscatterTransmitter(phy, states=stack.link.states_a)
-    waves = np.stack([tx.transmit(f).chip_waveform for f in frames])
-    staged = engine.stage(
-        gains, waves, fb, feedback_enabled=True, rngs=rng_run,
-        need_a=False, need_b=True,
-    )
-    rx = BackscatterReceiver(
-        phy,
-        states=stack.link.states_b,
-        self_compensation=stack.config.self_compensation,
-    )
-    records = []
-    for lane, frame in enumerate(frames):
-        result = rx.receive_frame(
-            staged.incident_b[lane], own_chip_waveform=staged.chips_b[lane]
-        )
-        ok = result.delivered and np.array_equal(
-            result.frame.payload_bits, frame.payload_bits
-        )
-        records.append(
-            {"errors": 0 if ok else 1, "bits": 1,
-             "delivered": 1.0 if ok else 0.0}
-        )
-    return records
+    engine = BatchFullDuplexEngine(stack.link)
+    staged = engine.stage_frames(gains, frames, fb, rng_run, need_a=need_a)
+    received = engine.receive_frames(staged, feedback_enabled=True)
+    delivered = [
+        result.delivered
+        and np.array_equal(result.frame.payload_bits, frame.payload_bits)
+        for result, frame in zip(received, frames)
+    ]
+    return engine, frames, staged, delivered
+
+
+def batch_frame_delivery_trials(spec: ScenarioSpec, children) -> list[dict]:
+    """Batched :func:`~repro.experiments.runner.frame_delivery_trial`.
+
+    Synthesis, channel composition and staging are batched; preamble
+    acquisition and frame parsing run per lane (sync is data-dependent
+    control flow).
+    """
+    children = list(children)
+    if not children:
+        return []
+    _, _, _, delivered = _framed_exchange(spec, children, need_a=False)
+    return [
+        {"errors": 0 if ok else 1, "bits": 1, "delivered": 1.0 if ok else 0.0}
+        for ok in delivered
+    ]
 
 
 def batch_energy_trials(spec: ScenarioSpec, children) -> list[dict]:
     """Batched :func:`~repro.experiments.runner.energy_trial` (bitwise).
 
-    Same staging as :func:`batch_frame_delivery_trials` but with *both*
-    antennas' incident fields composed (the harvest books need A's side
-    too), then the scalar receive chain and the deterministic energy
-    accounting per lane — record-for-record identical to the scalar
-    trial.
+    The frame-delivery exchange with *both* antennas' incident fields
+    composed (the harvest books need A's side too), then the
+    deterministic energy accounting per lane.
     """
     from repro.hardware.energy import EnergyModel
-    from repro.phy.framing import build_frame, random_frame
-    from repro.phy.receiver import BackscatterReceiver
-    from repro.phy.transmitter import BackscatterTransmitter
+    from repro.phy.framing import build_frame
 
     children = list(children)
     if not children:
         return []
-    stack = _stack_for(spec)
-    engine = _engine_for(spec)
-    rng_ch, rng_frame, rng_fb, rng_run = _lane_streams(children, 4)
-    gains = stack.channel.realize_batch(stack.scene, rng_ch)
-    payload_bytes = 16
-    frames = [random_frame(payload_bytes, r) for r in rng_frame]
-    fb = np.stack(
-        [
-            random_bits(
-                r,
-                max(1, (payload_bytes * 8 + 64) // spec.asymmetry_ratio),
-            )
-            for r in rng_fb
-        ]
+    engine, frames, staged, delivered = _framed_exchange(
+        spec, children, need_a=True
     )
-    phy = stack.config.phy
-    tx = BackscatterTransmitter(phy, states=stack.link.states_a)
-    waves = np.stack([tx.transmit(f).chip_waveform for f in frames])
-    staged = engine.stage(
-        gains, waves, fb, feedback_enabled=True, rngs=rng_run,
-        need_a=True, need_b=True,
-    )
-    rx_b = BackscatterReceiver(
-        phy,
-        states=stack.link.states_b,
-        self_compensation=stack.config.self_compensation,
-    )
-    rx_a = BackscatterReceiver(phy, states=stack.link.states_a)
+    harvested_a, harvested_b = engine.harvested_energy(staged)
+    warmup = engine.link.config.phy.warmup_bits
     model = EnergyModel()
     records = []
     for lane, frame in enumerate(frames):
-        result = rx_b.receive_frame(
-            staged.incident_b[lane], own_chip_waveform=staged.chips_b[lane]
-        )
-        ok = result.delivered and np.array_equal(
-            result.frame.payload_bits, frame.payload_bits
-        )
-        harvested_a = rx_a.front_end.harvested_energy(
-            staged.incident_a[lane], staged.chips_a[lane]
-        )
-        harvested_b = rx_b.front_end.harvested_energy(
-            staged.incident_b[lane], staged.chips_b[lane]
-        )
-        air_bits = int(build_frame(frame, phy.warmup_bits).size)
+        air_bits = int(build_frame(frame, warmup).size)
         records.append({
-            "delivered": 1.0 if ok else 0.0,
-            "harvested_a_joule": float(harvested_a),
-            "harvested_b_joule": float(harvested_b),
+            "delivered": 1.0 if delivered[lane] else 0.0,
+            "harvested_a_joule": float(harvested_a[lane]),
+            "harvested_b_joule": float(harvested_b[lane]),
             "tx_energy_joule": float(model.tx_cost(air_bits)),
             "airtime_seconds": air_bits / spec.bit_rate_bps,
         })

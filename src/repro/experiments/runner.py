@@ -46,10 +46,9 @@ from repro.experiments.spec import ScenarioSpec, ScenarioStack
 from repro.utils.rng import ensure_rng, random_bits, spawn_rngs
 from repro.utils.validation import check_positive
 
-#: Upper bound on entries in each per-process spec-keyed cache (built
-#: stacks here, batched PHY engines in :mod:`repro.experiments.batch`).  A
+#: Upper bound on entries in the per-process spec-keyed stack cache.  A
 #: campaign grid can visit hundreds of distinct specs; every entry pins
-#: sample-rate state, so the caches evict least-recently-used entries
+#: sample-rate state, so the cache evicts least-recently-used entries
 #: past this cap instead of growing without limit.
 MAX_CACHED_ENGINES = 32
 

@@ -1,26 +1,28 @@
-"""Batched full-duplex exchanges: N independent trials as stacked arrays.
+"""Full-duplex exchanges of one link, N independent lanes at a time.
 
-:class:`BatchFullDuplexEngine` is the sample-level core of the
-vectorized trial backend (:mod:`repro.experiments.batch`).  It stages N
-independent exchanges of one :class:`~repro.fullduplex.link.FullDuplexLink`
-as ``(N, samples)`` tensors — batched ambient synthesis, batched channel
-composition, batched envelope detection/compensation and batched
-soft-decision decoding — while drawing every random quantity from the
-*same per-lane generators, in the same order,* as the scalar
-:meth:`FullDuplexLink.run_raw_bits` / :meth:`FullDuplexLink.run` path.
+:class:`BatchFullDuplexEngine` is the one implementation of the
+sample-level exchange.  :meth:`FullDuplexLink.run` and
+:meth:`FullDuplexLink.run_raw_bits` call it with one lane; the
+vectorized trial backend (:mod:`repro.experiments.batch`) calls it with
+a whole chunk of trials.  Each stage of the exchange has one
+implementation, chosen by one rule:
 
-The resulting per-lane outputs are **bitwise identical** to running the
-scalar link once per lane (asserted by ``tests/test_batch_equivalence.py``).
-Two deliberate asymmetries with the scalar code keep the engine honest
-rather than clever:
+* a stage that has to run lane by lane anyway (random draws,
+  data-dependent control flow: channel realisation, ambient and noise
+  draws, preamble sync and frame parsing, the gated feedback half-bit
+  means, harvesting) is a scalar function, and the engine loops over
+  it;
+* a stage that is plain 2-D numpy (chip and reflection waveforms,
+  self-gating, envelope detection, compensation, aligned soft decode)
+  takes ``(N, samples)`` arrays, and the scalar name calls it with one
+  lane.
 
-* randomness is never batched across lanes — lane ``i``'s generators are
-  spawned from trial ``i``'s seed exactly as the scalar path spawns
-  them, so only the deterministic DSP is vectorized;
-* a side of the exchange that the caller does not ask for (``need_a`` /
-  ``need_b``) is skipped entirely, which is safe because each side's
-  noise draws come from a dedicated child generator and the decodes are
-  deterministic given the staged fields.
+Randomness is never batched across lanes: lane ``i``'s generators are
+spawned from its own seed in a fixed order, so a lane's outputs do not
+depend on the rest of the batch.  A side of the exchange that the caller
+does not ask for (``need_a`` / ``need_b``) is skipped entirely, which is
+safe because each side's noise draws come from a dedicated child
+generator and the decodes are deterministic given the staged fields.
 """
 
 from __future__ import annotations
@@ -30,22 +32,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.channel.link import BatchLinkGains
-from repro.dsp.envelope import square_law_detector
-from repro.dsp.filters import (
-    alpha_for_time_constant,
-    integrate_and_dump,
-    single_pole_lowpass,
+from repro.fullduplex.feedback import FeedbackDecoder, feedback_waveform_batch
+from repro.fullduplex.link import (
+    DATA_PILOT_BITS,
+    FEEDBACK_PILOT_BITS,
+    FullDuplexLink,
 )
-from repro.fullduplex.feedback import _masked_mean
-from repro.fullduplex.link import FEEDBACK_PILOT_BITS, FullDuplexLink
 from repro.phy import coding as lc
-from repro.phy.softdecode import resolve_polarity_batch, soft_decode_bits_batch
+from repro.phy.framing import Frame
+from repro.phy.receiver import BackscatterReceiver, ReceiveResult
+from repro.phy.softdecode import decode_aligned_batch
+from repro.phy.transmitter import BackscatterTransmitter
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
 @dataclass(frozen=True)
-class BatchStagedExchange:
-    """Batched counterpart of ``FullDuplexLink._StagedExchange``.
+class StagedExchange:
+    """Both antennas' fields for N exchanges, ready to decode.
 
     Attributes
     ----------
@@ -57,8 +60,9 @@ class BatchStagedExchange:
         ``(N, bits)`` feedback pilot + payload actually transmitted
         (zero columns when the window fits no feedback bit).
     incident_a / incident_b:
-        ``(N, total)`` complex fields at each antenna, or ``None`` when
-        that side was not requested.
+        ``(N, total)`` complex fields at each antenna (ambient + the
+        *other* side's reflection + noise), or ``None`` when that side
+        was not requested.
     """
 
     pad: int
@@ -69,31 +73,27 @@ class BatchStagedExchange:
     incident_b: np.ndarray | None
 
 
-def feedback_waveform_batch(bits: np.ndarray, config) -> np.ndarray:
-    """``(N, bits)`` feedback bits → ``(N, samples)`` switching waveforms.
-
-    Row-for-row identical to
-    :func:`repro.fullduplex.feedback.feedback_waveform`: the feedback
-    line code *is* Manchester at the feedback half-bit scale (bit 1 →
-    reflect-then-absorb), so the chips come from the one module that
-    owns that rule.
-    """
-    chips = lc.encode_batch(bits, "manchester")
-    return np.repeat(chips, config.samples_per_feedback_half, axis=1)
-
-
 @dataclass
 class BatchFullDuplexEngine:
-    """Vectorized executor for one link's independent exchanges.
+    """Runs one link's independent exchanges as stacked lanes.
 
     Attributes
     ----------
     link:
-        The scalar link whose behaviour is reproduced lane by lane
-        (config, ambient source, impedance states, device names, pad).
+        The link whose exchanges run here (config, ambient source,
+        impedance states, device names, pad).
     """
 
     link: FullDuplexLink
+
+    def __post_init__(self) -> None:
+        config = self.link.config
+        self._rx_a = BackscatterReceiver(config.phy, states=self.link.states_a)
+        self._rx_b = BackscatterReceiver(
+            config.phy,
+            states=self.link.states_b,
+            self_compensation=config.self_compensation,
+        )
 
     # -- staging -----------------------------------------------------------
 
@@ -106,12 +106,14 @@ class BatchFullDuplexEngine:
         rngs,
         need_a: bool = True,
         need_b: bool = True,
-    ) -> BatchStagedExchange:
+    ) -> StagedExchange:
         """Compose both antennas' incident fields for N exchanges.
 
-        Mirrors ``FullDuplexLink._stage``: per lane, ``rngs[i]`` is
-        normalised and split into (source, noise-A, noise-B) children in
-        the scalar order, then synthesis and composition run batched.
+        Pads the window, builds both switching waveforms (A's data
+        chips, B's pilot-prefixed feedback), turns them into reflection
+        waveforms, draws the ambient block and mixes what each side's
+        antenna sees.  Per lane, ``rngs[i]`` is split into (source,
+        noise-A, noise-B) children.
         """
         link = self.link
         rng_src, rng_noise_a, rng_noise_b = [], [], []
@@ -131,6 +133,7 @@ class BatchFullDuplexEngine:
         pad = link.idle_pad_bits * phy.samples_per_bit
         total = num_samples + 2 * pad
 
+        # A's switching waveform over the whole window (idle = absorbing).
         chips_a = np.zeros((lanes, total), dtype=np.uint8)
         chips_a[:, pad : pad + num_samples] = waves
         # A's reflection waveform is only consumed composing B's
@@ -146,6 +149,8 @@ class BatchFullDuplexEngine:
             else None
         )
 
+        # B's feedback switching, aligned to the frame start.  A known
+        # pilot prefix lets A resolve the feedback polarity sign.
         fb_payload = np.asarray(feedback_bits).astype(np.uint8)
         max_bits = num_samples // config.samples_per_feedback_bit
         pilot = FEEDBACK_PILOT_BITS
@@ -187,7 +192,7 @@ class BatchFullDuplexEngine:
             if need_a
             else None
         )
-        return BatchStagedExchange(
+        return StagedExchange(
             pad=pad,
             chips_a=chips_a,
             chips_b=chips_b,
@@ -196,112 +201,143 @@ class BatchFullDuplexEngine:
             incident_b=incident_b,
         )
 
-    # -- receive-side batched DSP ------------------------------------------
-
-    def _gated_envelope(
-        self, incident: np.ndarray, own_chips: np.ndarray | None, states
-    ) -> np.ndarray:
-        """Batched ``TagFrontEnd.receive_envelope``: self-reception gating
-        by the device's own switching state, then the smoothed detector."""
-        phy = self.link.config.phy
-        x = np.asarray(incident, dtype=complex)
-        if own_chips is not None:
-            through = np.where(
-                own_chips > 0, states.through_for(1), states.through_for(0)
-            )
-            x = x * through
-        return 1.0 * square_law_detector(
-            x, phy.sample_rate_hz, phy.smoothing_tau_s
+    def stage_frames(
+        self,
+        gains: BatchLinkGains,
+        frames: list[Frame],
+        feedback_bits: np.ndarray,
+        rngs,
+        feedback_enabled: bool = True,
+        need_a: bool = True,
+    ) -> StagedExchange:
+        """:meth:`stage` for one data frame per lane (A transmits it)."""
+        tx = BackscatterTransmitter(
+            self.link.config.phy, states=self.link.states_a
+        )
+        waves = np.stack([tx.transmit(frame).chip_waveform for frame in frames])
+        return self.stage(
+            gains, waves, feedback_bits, feedback_enabled, rngs, need_a=need_a
         )
 
-    def data_envelope(
-        self, staged: BatchStagedExchange, feedback_enabled: bool
-    ) -> np.ndarray:
-        """B's detector output: gating by its own feedback transmission
-        plus the known-state digital compensation when configured —
-        batched ``BackscatterReceiver.envelope``."""
-        config = self.link.config
-        phy = config.phy
-        own = staged.chips_b if feedback_enabled else None
-        env = self._gated_envelope(
-            staged.incident_b, own, self.link.states_b
-        )
-        if own is not None and config.self_compensation:
-            alpha = alpha_for_time_constant(
-                phy.smoothing_tau_s, phy.sample_rate_hz
-            )
-            through_power = np.where(
-                own > 0,
-                self.link.states_b.through_for(1) ** 2,
-                self.link.states_b.through_for(0) ** 2,
-            )
-            env = env / single_pole_lowpass(through_power, alpha)
-        return env
+    # -- B: the data direction ---------------------------------------------
+
+    def receive_frames(
+        self, staged: StagedExchange, feedback_enabled: bool
+    ) -> list[ReceiveResult]:
+        """B's frame reception per lane (sync and parsing are
+        data-dependent), gated by its own feedback transmission."""
+        results = []
+        for lane, incident in enumerate(staged.incident_b):
+            own = staged.chips_b[lane] if feedback_enabled else None
+            results.append(self._rx_b.receive_frame(incident, own))
+        return results
 
     def decode_aligned_bits(
         self,
-        staged: BatchStagedExchange,
+        staged: StagedExchange,
         num_bits: int,
         pilot_bits: np.ndarray,
         feedback_enabled: bool,
     ) -> np.ndarray:
-        """Batched ``BackscatterReceiver.decode_aligned_bits`` for the
-        raw-bit harness: known alignment, per-lane pilot polarity."""
-        config = self.link.config
-        phy = config.phy
-        env = self.data_envelope(staged, feedback_enabled)
-        start = staged.pad + phy.detector_delay_samples
-        count = num_bits * phy.chips_per_bit
-        segment = env[:, start : start + count * phy.samples_per_chip]
-        if segment.shape[1] < count * phy.samples_per_chip:
-            raise ValueError(
-                "incident waveform too short for the requested bit count"
-            )
-        soft = integrate_and_dump(segment, phy.samples_per_chip)
-        polarity = resolve_polarity_batch(soft, pilot_bits, config.phy)
-        return soft_decode_bits_batch(soft, config.phy, polarity)
+        """B's raw-bit decode: known alignment, per-lane pilot polarity."""
+        phy = self.link.config.phy
+        own = staged.chips_b if feedback_enabled else None
+        env = self._rx_b.envelope(staged.incident_b, own)
+        return decode_aligned_batch(
+            env, staged.pad + phy.detector_delay_samples, num_bits, phy,
+            pilot_bits,
+        )
+
+    # -- A: the feedback direction -----------------------------------------
 
     def decode_feedback(
-        self, staged: BatchStagedExchange, feedback_enabled: bool
+        self, staged: StagedExchange, feedback_enabled: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        """A's feedback decode, batched ``FullDuplexLink._decode_feedback``.
+        """A's feedback decode, gated by its own transmission.
 
         Returns ``(feedback_sent, feedback_decoded)`` as ``(N, bits)``
         arrays with the polarity pilot stripped (zero columns when no
-        feedback flew).  The gated half-bit means are reduced lane by
-        lane: the gating mask depends on each lane's own data chips, and
-        the scalar decoder's masked mean must be reproduced exactly.
+        feedback flew).  The envelope is detected for every lane at
+        once; the gated half-bit means run lane by lane because the
+        gating mask depends on each lane's own data chips.
         """
         config = self.link.config
-        phy = config.phy
         pilot = FEEDBACK_PILOT_BITS
-        lanes = staged.chips_a.shape[0]
-        num_bits = staged.fb_stream.shape[1]
+        lanes, num_bits = staged.fb_stream.shape
         if not (feedback_enabled and num_bits):
             empty = np.empty((lanes, 0), dtype=np.uint8)
             return empty, empty
-        env = self._gated_envelope(
-            staged.incident_a, staged.chips_a, self.link.states_a
+        env = self._rx_a.front_end.receive_envelope(
+            staged.incident_a, staged.chips_a
         )
-        start = staged.pad + phy.detector_delay_samples
-        half = config.samples_per_feedback_half
-        if config.feedback_decode == "gated":
-            mask = staged.chips_a == 0
-        else:
-            mask = np.ones(staged.chips_a.shape, dtype=bool)
-        firsts = np.empty((lanes, num_bits), dtype=float)
-        seconds = np.empty((lanes, num_bits), dtype=float)
-        for i in range(num_bits):
-            h1 = slice(start + i * 2 * half, start + i * 2 * half + half)
-            h2 = slice(h1.stop, h1.stop + half)
-            for lane in range(lanes):
-                firsts[lane, i] = _masked_mean(env[lane, h1], mask[lane, h1])
-                seconds[lane, i] = _masked_mean(env[lane, h2], mask[lane, h2])
-        positive = (firsts > seconds).astype(np.uint8)
-        margins = (firsts - seconds)[:, : pilot.size]
-        signs = pilot.astype(float) * 2.0 - 1.0
-        decoded = positive.copy()
+        decoder = FeedbackDecoder(config)
+        start = staged.pad + config.phy.detector_delay_samples
+        decoded = np.empty((lanes, num_bits), dtype=np.uint8)
         for lane in range(lanes):
-            if float(np.dot(margins[lane], signs)) < 0:
-                decoded[lane] = 1 - positive[lane]
+            decoded[lane] = decoder.decode(
+                env[lane],
+                num_bits=num_bits,
+                own_chip_waveform=staged.chips_a[lane],
+                start_sample=start,
+                pilot_bits=pilot,
+            )
         return staged.fb_stream[:, pilot.size :], decoded[:, pilot.size :]
+
+    # -- both sides --------------------------------------------------------
+
+    def harvested_energy(
+        self, staged: StagedExchange
+    ) -> tuple[list[float], list[float]]:
+        """Per-lane energy [J] harvested by A and by B over the exchange."""
+        front_a, front_b = self._rx_a.front_end, self._rx_b.front_end
+        harvested_a = [
+            front_a.harvested_energy(incident, chips)
+            for incident, chips in zip(staged.incident_a, staged.chips_a)
+        ]
+        harvested_b = [
+            front_b.harvested_energy(incident, chips)
+            for incident, chips in zip(staged.incident_b, staged.chips_b)
+        ]
+        return harvested_a, harvested_b
+
+    def raw_exchange(
+        self,
+        gains: BatchLinkGains,
+        data_bits: np.ndarray,
+        feedback_bits: np.ndarray,
+        rngs,
+        feedback_enabled: bool = True,
+        need_data: bool = True,
+        need_feedback: bool = True,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """N unframed exchanges for BER sweeps: known alignment, no sync.
+
+        A sends :data:`DATA_PILOT_BITS` followed by each lane's
+        ``data_bits``; the pilot resolves the backscatter polarity at B.
+        Returns ``(decoded_data, feedback_sent, feedback_decoded)`` as
+        ``(N, bits)`` arrays, with ``None`` for a direction not asked
+        for (its side is not staged).
+        """
+        phy = self.link.config.phy
+        payload = np.asarray(data_bits).astype(np.uint8)
+        pilot = DATA_PILOT_BITS
+        stream = np.concatenate(
+            [np.tile(pilot, (payload.shape[0], 1)), payload], axis=1
+        )
+        chips = lc.encode_batch(stream, phy.coding)
+        waves = np.repeat(chips, phy.samples_per_chip, axis=1)
+        staged = self.stage(
+            gains, waves, feedback_bits, feedback_enabled, rngs,
+            need_a=need_feedback, need_b=need_data,
+        )
+        decoded = None
+        if need_data:
+            decoded = self.decode_aligned_bits(
+                staged, stream.shape[1], pilot, feedback_enabled
+            )[:, pilot.size :]
+        fb_sent = fb_decoded = None
+        if need_feedback:
+            fb_sent, fb_decoded = self.decode_feedback(
+                staged, feedback_enabled
+            )
+        return decoded, fb_sent, fb_decoded

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.fullduplex.config import FullDuplexConfig
 from repro.fullduplex.selfinterference import own_off_mask
+from repro.phy import coding as lc
 
 
 def feedback_bits_for_frame(frame_samples: int, config: FullDuplexConfig) -> int:
@@ -44,15 +45,20 @@ def feedback_waveform(bits: np.ndarray, config: FullDuplexConfig) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bits must be a 1-D array")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bits must contain only 0 and 1")
-    half = config.samples_per_feedback_half
-    out = np.empty(arr.size * 2 * half, dtype=np.uint8)
-    for i, b in enumerate(arr.astype(np.uint8)):
-        start = i * 2 * half
-        out[start : start + half] = b
-        out[start + half : start + 2 * half] = 1 - b
-    return out
+    return feedback_waveform_batch(arr[None], config)[0]
+
+
+def feedback_waveform_batch(
+    bits: np.ndarray, config: FullDuplexConfig
+) -> np.ndarray:
+    """``(N, bits)`` feedback bits → ``(N, samples)`` switching waveforms.
+
+    The feedback line code *is* Manchester at the feedback half-bit
+    scale (bit 1 → reflect-then-absorb), so the chips come from the one
+    module that owns that rule.
+    """
+    chips = lc.encode_batch(bits, "manchester")
+    return np.repeat(chips, config.samples_per_feedback_half, axis=1)
 
 
 @dataclass

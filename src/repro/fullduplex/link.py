@@ -1,8 +1,7 @@
 """One simultaneous full-duplex exchange at the sample level.
 
-:class:`FullDuplexLink` wires everything together for a single
-(data-frame, feedback-stream) exchange between two devices over one
-channel realisation:
+:class:`FullDuplexLink` describes a (data-frame, feedback-stream)
+exchange between two devices over one channel realisation:
 
 1. A builds its data frame waveforms; B builds its feedback waveform,
    trimmed/padded to the frame duration.
@@ -13,6 +12,11 @@ channel realisation:
    feedback waveform for self-gating and compensation); A runs the
    feedback decoder (gated by its own data waveform).
 4. Both sides' harvested energy is accounted.
+
+:meth:`FullDuplexLink.run` and :meth:`FullDuplexLink.run_raw_bits` run
+that exchange as a batch of one lane through
+:class:`repro.fullduplex.batch.BatchFullDuplexEngine`, the one
+implementation every trial backend shares.
 
 The result object carries everything the benchmarks need: the data
 reception outcome, the decoded feedback bits, raw BER inputs, and the
@@ -26,14 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ambient.sources import AmbientSource
-from repro.channel.link import LinkGains
+from repro.channel.link import BatchLinkGains, LinkGains
 from repro.fullduplex.config import FullDuplexConfig
-from repro.fullduplex.feedback import FeedbackDecoder, feedback_waveform
-from repro.hardware.reflection import ReflectionModulator, ReflectionStates
-from repro.phy.framing import Frame
-from repro.phy.receiver import BackscatterReceiver, ReceiveResult
-from repro.phy.transmitter import BackscatterTransmitter
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.hardware.reflection import ReflectionStates
+from repro.phy.framing import Frame, build_frame
+from repro.phy.receiver import ReceiveResult
 
 #: Known data prefix used by the raw-bit harness to resolve backscatter
 #: polarity at the receiver (see :class:`repro.phy.sync.SyncResult`).
@@ -80,32 +81,6 @@ class FullDuplexExchange:
         return self.data_result.delivered
 
 
-@dataclass(frozen=True)
-class _StagedExchange:
-    """Everything both exchange flavours share for one realisation.
-
-    Attributes
-    ----------
-    pad:
-        Idle guard length in samples on each side of the transmission.
-    chips_a / chips_b:
-        Full-window switching waveforms of the two devices.
-    fb_stream:
-        Feedback pilot + payload bits actually transmitted (possibly
-        empty when the window fits no feedback bit).
-    incident_a / incident_b:
-        Complex baseband fields at each antenna (ambient + the *other*
-        side's reflection + noise).
-    """
-
-    pad: int
-    chips_a: np.ndarray
-    chips_b: np.ndarray
-    fb_stream: np.ndarray
-    incident_a: np.ndarray
-    incident_b: np.ndarray
-
-
 @dataclass
 class FullDuplexLink:
     """A ↔ B full-duplex link simulator.
@@ -133,93 +108,11 @@ class FullDuplexLink:
     device_b: str = "bob"
     idle_pad_bits: int = 4
 
-    def _stage(
-        self,
-        gains: LinkGains,
-        chip_waveform: np.ndarray,
-        feedback_bits: np.ndarray,
-        feedback_enabled: bool,
-        rng,
-    ) -> _StagedExchange:
-        """Compose both antennas' incident fields for one exchange.
+    def _engine(self):
+        # Imported here because the engine module builds on this one.
+        from repro.fullduplex.batch import BatchFullDuplexEngine
 
-        Shared by :meth:`run` and :meth:`run_raw_bits`: pads the window,
-        builds both switching waveforms (A's data chips, B's pilot-
-        prefixed feedback), turns them into reflection waveforms, draws
-        the ambient block, and mixes what each side's antenna sees.
-        """
-        gen = ensure_rng(rng)
-        rng_src, rng_noise_a, rng_noise_b = spawn_rngs(gen, 3)
-        phy = self.config.phy
-        pad = self.idle_pad_bits * phy.samples_per_bit
-        num_samples = int(chip_waveform.size)
-        total = num_samples + 2 * pad
-
-        # A's switching waveform over the whole window (idle = absorbing).
-        chips_a = np.zeros(total, dtype=np.uint8)
-        chips_a[pad : pad + num_samples] = chip_waveform
-        mod_a = ReflectionModulator(states=self.states_a, samples_per_chip=1)
-        gamma_a = mod_a.reflection_waveform(chips_a)
-
-        # B's feedback switching, aligned to the frame start.  A known
-        # pilot prefix lets A resolve the feedback polarity sign.
-        fb_payload = np.asarray(feedback_bits).astype(np.uint8)
-        max_bits = num_samples // self.config.samples_per_feedback_bit
-        pilot = FEEDBACK_PILOT_BITS
-        if max_bits > pilot.size:
-            fb_stream = np.concatenate(
-                [pilot, fb_payload[: max_bits - pilot.size]]
-            )
-        else:
-            fb_stream = np.empty(0, dtype=np.uint8)
-        chips_b = np.zeros(total, dtype=np.uint8)
-        if feedback_enabled and fb_stream.size:
-            fb_wave = feedback_waveform(fb_stream, self.config)
-            chips_b[pad : pad + fb_wave.size] = fb_wave
-        mod_b = ReflectionModulator(states=self.states_b, samples_per_chip=1)
-        gamma_b = mod_b.reflection_waveform(chips_b)
-
-        ambient = self.source.samples(total, rng_src)
-        incident_b = gains.received(
-            self.device_b, ambient, {self.device_a: gamma_a}, rng=rng_noise_b
-        )
-        incident_a = gains.received(
-            self.device_a, ambient, {self.device_b: gamma_b}, rng=rng_noise_a
-        )
-        return _StagedExchange(
-            pad=pad,
-            chips_a=chips_a,
-            chips_b=chips_b,
-            fb_stream=fb_stream,
-            incident_a=incident_a,
-            incident_b=incident_b,
-        )
-
-    def _decode_feedback(
-        self, staged: _StagedExchange, feedback_enabled: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """A's feedback decode, gated by its own transmission.
-
-        Returns ``(feedback_sent, feedback_decoded)`` with the polarity
-        pilot stripped from both (empty arrays when no feedback flew).
-        """
-        phy = self.config.phy
-        pilot = FEEDBACK_PILOT_BITS
-        if not (feedback_enabled and staged.fb_stream.size):
-            empty = np.empty(0, dtype=np.uint8)
-            return empty, empty
-        rx_a = BackscatterReceiver(phy, states=self.states_a)
-        env_a = rx_a.front_end.receive_envelope(
-            staged.incident_a, staged.chips_a
-        )
-        decoded_stream = FeedbackDecoder(self.config).decode(
-            env_a,
-            num_bits=staged.fb_stream.size,
-            own_chip_waveform=staged.chips_a,
-            start_sample=staged.pad + phy.detector_delay_samples,
-            pilot_bits=pilot,
-        )
-        return staged.fb_stream[pilot.size :], decoded_stream[pilot.size :]
+        return BatchFullDuplexEngine(self)
 
     def run(
         self,
@@ -248,45 +141,23 @@ class FullDuplexLink:
             With False, B stays silent — the half-duplex baseline used by
             the F1 benchmark's "feedback off" arm.
         """
-        phy = self.config.phy
-        tx_a = BackscatterTransmitter(phy, states=self.states_a)
-        wf = tx_a.transmit(frame)
-        staged = self._stage(
-            gains, wf.chip_waveform, feedback_bits, feedback_enabled, rng
+        engine = self._engine()
+        staged = engine.stage_frames(
+            BatchLinkGains([gains]),
+            [frame],
+            np.asarray(feedback_bits)[None],
+            [rng],
+            feedback_enabled,
         )
-
-        # --- B: receive the data frame while transmitting feedback. ---
-        rx_b = BackscatterReceiver(
-            phy,
-            states=self.states_b,
-            self_compensation=self.config.self_compensation,
-        )
-        own_b = staged.chips_b if feedback_enabled else None
-        data_result = rx_b.receive_frame(
-            staged.incident_b, own_chip_waveform=own_b
-        )
-
-        # --- A: decode the feedback while transmitting the frame. ---
-        fb_bits, decoded = self._decode_feedback(staged, feedback_enabled)
-
-        # --- Energy harvested on both sides over the exchange. ---
-        rx_a = BackscatterReceiver(phy, states=self.states_a)
-        harvested_a = rx_a.front_end.harvested_energy(
-            staged.incident_a, staged.chips_a
-        )
-        harvested_b = rx_b.front_end.harvested_energy(
-            staged.incident_b, staged.chips_b
-        )
-
-        from repro.phy.framing import build_frame
-
+        fb_sent, fb_decoded = engine.decode_feedback(staged, feedback_enabled)
+        harvested_a, harvested_b = engine.harvested_energy(staged)
         return FullDuplexExchange(
-            data_result=data_result,
-            feedback_sent=fb_bits,
-            feedback_decoded=decoded,
-            data_bits_sent=build_frame(frame, phy.warmup_bits),
-            harvested_a_joule=harvested_a,
-            harvested_b_joule=harvested_b,
+            data_result=engine.receive_frames(staged, feedback_enabled)[0],
+            feedback_sent=fb_sent[0],
+            feedback_decoded=fb_decoded[0],
+            data_bits_sent=build_frame(frame, self.config.phy.warmup_bits),
+            harvested_a_joule=harvested_a[0],
+            harvested_b_joule=harvested_b[0],
         )
 
     def run_raw_bits(
@@ -303,32 +174,11 @@ class FullDuplexLink:
         — the caller compares against its inputs.  Much faster than
         framed exchanges because there is no preamble search.
         """
-        phy = self.config.phy
-
-        # A known pilot prefix resolves the backscatter polarity at both
-        # receivers (under fading, "reflect" can lower the envelope).
-        payload = np.asarray(data_bits).astype(np.uint8)
-        stream = np.concatenate([DATA_PILOT_BITS, payload])
-        tx_a = BackscatterTransmitter(phy, states=self.states_a)
-        wf = tx_a.transmit_bits(stream)
-        staged = self._stage(
-            gains, wf.chip_waveform, feedback_bits, feedback_enabled, rng
+        decoded, fb_sent, fb_decoded = self._engine().raw_exchange(
+            BatchLinkGains([gains]),
+            np.asarray(data_bits)[None],
+            np.asarray(feedback_bits)[None],
+            [rng],
+            feedback_enabled,
         )
-
-        rx_b = BackscatterReceiver(
-            phy,
-            states=self.states_b,
-            self_compensation=self.config.self_compensation,
-        )
-        own_b = staged.chips_b if feedback_enabled else None
-        decoded_stream = rx_b.decode_aligned_bits(
-            staged.incident_b,
-            num_bits=stream.size,
-            own_chip_waveform=own_b,
-            start_sample=staged.pad,
-            pilot_bits=DATA_PILOT_BITS,
-        )
-        decoded_data = decoded_stream[DATA_PILOT_BITS.size :]
-
-        fb_bits, decoded_fb = self._decode_feedback(staged, feedback_enabled)
-        return decoded_data, fb_bits, decoded_fb
+        return decoded[0], fb_sent[0], fb_decoded[0]

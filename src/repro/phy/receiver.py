@@ -25,12 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dsp.filters import integrate_and_dump, moving_average
-from repro.hardware.comparator import HysteresisComparator
+from repro.dsp.filters import integrate_and_dump
 from repro.hardware.detector import EnvelopeDetector
 from repro.hardware.reflection import ReflectionStates
 from repro.hardware.tag import TagFrontEnd
-from repro.phy import coding as lc
 from repro.phy.config import PhyConfig
 from repro.phy.framing import (
     LENGTH_FIELD_BITS,
@@ -39,6 +37,11 @@ from repro.phy.framing import (
     parse_frame,
 )
 from repro.phy.preamble import default_preamble_bits
+from repro.phy.softdecode import (
+    chip_threshold_batch,
+    decode_aligned_batch,
+    soft_decode_bits_batch,
+)
 from repro.phy.sync import SyncResult, acquire_frame_start
 
 
@@ -106,11 +109,7 @@ class BackscatterReceiver:
             sample_rate_hz=self.config.sample_rate_hz,
             smoothing_tau_seconds=self.config.smoothing_tau_s,
         )
-        self._front_end = TagFrontEnd(
-            detector=detector,
-            comparator=HysteresisComparator(),
-            states=self.states,
-        )
+        self._front_end = TagFrontEnd(detector=detector, states=self.states)
 
     @property
     def front_end(self) -> TagFrontEnd:
@@ -153,47 +152,25 @@ class BackscatterReceiver:
 
     def chip_threshold(self, soft_chips: np.ndarray) -> np.ndarray:
         """Stage 3: comparator threshold over chip integrals."""
-        window_chips = self.config.threshold_window_bits * self.config.chips_per_bit
-        if self.adaptive:
-            return moving_average(soft_chips, window_chips)
-        return np.full_like(soft_chips, float(np.mean(soft_chips)))
-
-    def hard_chips(self, soft_chips: np.ndarray) -> np.ndarray:
-        """Stages 3–4: threshold + comparator → hard chip decisions."""
-        thr = self.chip_threshold(soft_chips)
-        return self._front_end.slice(soft_chips, thr)
+        soft = np.asarray(soft_chips, dtype=float)
+        return chip_threshold_batch(soft[None], self.config, self.adaptive)[0]
 
     def soft_decode_bits(self, soft_chips: np.ndarray,
                          polarity: int = 1) -> np.ndarray:
-        """Chip integrals → bits, using the strongest decision rule the
-        line code admits.
-
-        Manchester decodes *differentially* — each bit compares its two
-        half-bit integrals directly, cancelling the threshold and any
-        slow envelope drift.  FM0 and NRZ go through the threshold +
-        hard-chip path.
+        """Stages 3–6 on one chip run: chip integrals → bits (see
+        :func:`repro.phy.softdecode.soft_decode_bits_batch`).
 
         ``polarity`` is the reflect-raises-envelope sign resolved by the
         preamble correlator (see
         :class:`repro.phy.sync.SyncResult.polarity`); −1 flips the
-        decision sense.  FM0 is transition-coded and therefore polarity-
-        invariant by construction.
+        decision sense.
         """
         if polarity not in (1, -1):
             raise ValueError("polarity must be +1 or -1")
         soft = np.asarray(soft_chips, dtype=float)
-        if self.config.coding == "manchester":
-            if soft.size % 2:
-                raise ValueError("Manchester soft decode needs an even "
-                                 "number of chips")
-            first, second = soft[0::2], soft[1::2]
-            if polarity > 0:
-                return (first > second).astype(np.uint8)
-            return (first < second).astype(np.uint8)
-        hard = self.hard_chips(soft)
-        if polarity < 0:
-            hard = (1 - hard).astype(np.uint8)
-        return lc.decode(hard, self.config.coding)
+        return soft_decode_bits_batch(
+            soft[None], self.config, polarity, self.adaptive
+        )[0]
 
     def receive_frame(
         self,
@@ -256,42 +233,13 @@ class BackscatterReceiver:
 
         ``pilot_bits`` — a known prefix of the transmitted bits — lets
         the receiver resolve the backscatter polarity sign (see
-        :class:`repro.phy.sync.SyncResult.polarity`): the stream is
-        decoded at both polarities and the one matching the pilot wins.
-        Without a pilot, positive polarity is assumed (correct for
-        static co-phased channels only).
+        :class:`repro.phy.sync.SyncResult.polarity`); see
+        :func:`repro.phy.softdecode.decode_aligned_batch`.
         """
-        if num_bits < 0:
-            raise ValueError("num_bits must be non-negative")
         if compensate_delay:
             start_sample += self.config.detector_delay_samples
         env = self.envelope(incident, own_chip_waveform)
-        soft = self.soft_chips(env, start_sample,
-                               num_bits * self.config.chips_per_bit)
-        if soft.size < num_bits * self.config.chips_per_bit:
-            raise ValueError(
-                "incident waveform too short for the requested bit count"
-            )
-        if pilot_bits is None:
-            return self.soft_decode_bits(soft)
-        pilot = np.asarray(pilot_bits).astype(np.uint8)
-        if pilot.size == 0 or pilot.size > num_bits:
-            raise ValueError("pilot must be a non-empty prefix of the bits")
-        pilot_chips = pilot.size * self.config.chips_per_bit
-        if self.config.coding == "manchester":
-            # Matched-filter polarity: correlate the pilot's soft
-            # half-differences against the known pilot signs.
-            head = soft[:pilot_chips]
-            margins = head[0::2] - head[1::2]
-            signs = pilot.astype(float) * 2.0 - 1.0
-            best_polarity = 1 if float(np.dot(margins, signs)) >= 0 else -1
-        else:
-            best_polarity = 1
-            best_errors = None
-            for polarity in (1, -1):
-                decoded = self.soft_decode_bits(soft[:pilot_chips], polarity)
-                errors = int(np.count_nonzero(decoded != pilot))
-                if best_errors is None or errors < best_errors:
-                    best_errors = errors
-                    best_polarity = polarity
-        return self.soft_decode_bits(soft, best_polarity)
+        return decode_aligned_batch(
+            env[None], start_sample, num_bits, self.config, pilot_bits,
+            self.adaptive,
+        )[0]

@@ -1,29 +1,29 @@
-"""Batched soft-decision decoding: many trials' chip integrals at once.
+"""Soft-decision decoding of per-chip envelope integrals, N lanes at once.
 
-The scalar receive chain (:class:`repro.phy.receiver.BackscatterReceiver`)
-decodes one exchange's per-chip envelope integrals; the batched trial
-engine stacks N independent exchanges into an ``(N, chips)`` array and
-decodes every lane in one pass.  Each function here mirrors one scalar
-decision rule *operation for operation*, so lane ``i`` of every output is
-bitwise identical to running the scalar receiver on row ``i`` — the
-contract :mod:`repro.experiments.batch` is built on:
+These functions are the one implementation of the receiver's decision
+rules.  They take ``(N, chips)`` (or ``(N, samples)``) arrays; the
+scalar methods of :class:`repro.phy.receiver.BackscatterReceiver` call
+them with one lane, and the batched trial engine
+(:mod:`repro.fullduplex.batch`) with a whole chunk:
 
-* :func:`soft_decode_bits_batch` ↔
-  :meth:`~repro.phy.receiver.BackscatterReceiver.soft_decode_bits`
-  (differential Manchester, thresholded FM0/NRZ);
-* :func:`resolve_polarity_batch` ↔ the pilot-driven polarity search in
-  :meth:`~repro.phy.receiver.BackscatterReceiver.decode_aligned_bits`.
+* :func:`soft_decode_bits_batch` — differential Manchester, thresholded
+  FM0/NRZ (behind ``BackscatterReceiver.soft_decode_bits``);
+* :func:`resolve_polarity_batch` — the pilot-driven polarity search;
+* :func:`decode_aligned_batch` — known-alignment slicing, chip
+  integration, polarity and decode (behind
+  ``BackscatterReceiver.decode_aligned_bits``).
 
-Only the zero-hysteresis comparator (the receiver's default) is modelled
-in the hard-chip path; the scalar chain is the reference for anything
-more exotic.
+Every per-lane reduction that could depend on the batch shape (the
+pilot matched filter) runs lane by lane, so a lane's result does not
+depend on what else is in the batch.  The hard-chip path models the
+receiver's zero-hysteresis comparator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.filters import moving_average
+from repro.dsp.filters import integrate_and_dump, moving_average
 from repro.phy import coding as lc
 from repro.phy.config import PhyConfig
 
@@ -47,9 +47,8 @@ def chip_threshold_batch(
 ) -> np.ndarray:
     """Per-lane comparator threshold over chip integrals.
 
-    Mirrors :meth:`BackscatterReceiver.chip_threshold`: a causal moving
-    average over ``threshold_window_bits`` of chips (or each lane's whole
-    run mean for the fixed-threshold ablation).
+    A causal moving average over ``threshold_window_bits`` of chips (or
+    each lane's whole run mean for the fixed-threshold ablation).
     """
     soft = _as_soft_batch(soft_chips)
     window_chips = config.threshold_window_bits * config.chips_per_bit
@@ -78,9 +77,12 @@ def soft_decode_bits_batch(
 
     ``polarity`` is a scalar or per-lane array of ±1 (the sign resolved
     by each lane's pilot, see :func:`resolve_polarity_batch`).
-    Manchester decodes differentially; FM0/NRZ go through the batched
-    threshold + comparator path, with negative-polarity lanes' hard
-    chips inverted before line decoding — the scalar rule, row for row.
+    Manchester decodes *differentially* — each bit compares its two
+    half-bit integrals directly, cancelling the threshold and any slow
+    envelope drift.  FM0/NRZ go through the threshold + comparator path,
+    with negative-polarity lanes' hard chips inverted before line
+    decoding (FM0 is transition-coded and therefore polarity-invariant
+    by construction).
     """
     soft = _as_soft_batch(soft_chips)
     pol = _as_polarity(polarity, soft.shape[0])
@@ -111,7 +113,7 @@ def resolve_polarity_batch(
     Manchester lanes correlate the pilot's soft half-differences against
     the known pilot signs (matched filter); other codings decode the
     pilot at both polarities and keep the one with fewer pilot errors,
-    preferring +1 on ties — both exactly the scalar receiver's rules.
+    preferring +1 on ties.
     """
     soft = _as_soft_batch(soft_chips)
     pilot = np.asarray(pilot_bits).astype(np.uint8)
@@ -127,8 +129,8 @@ def resolve_polarity_batch(
         head = soft[:, :pilot_chips]
         margins = head[:, 0::2] - head[:, 1::2]
         for lane in range(lanes):
-            # Per-lane np.dot keeps the accumulation order of the
-            # scalar matched filter (a batched gemv may not).
+            # Per-lane np.dot keeps a lane's accumulation order
+            # independent of the batch (a batched gemv may not).
             if float(np.dot(margins[lane], signs)) < 0:
                 polarity[lane] = -1
         return polarity
@@ -140,3 +142,42 @@ def resolve_polarity_batch(
     flip = errors_by_pol[-1] < errors_by_pol[1]
     polarity[flip] = -1
     return polarity
+
+
+def decode_aligned_batch(
+    envelope: np.ndarray,
+    start_sample: int,
+    num_bits: int,
+    config: PhyConfig,
+    pilot_bits: np.ndarray | None = None,
+    adaptive: bool = True,
+) -> np.ndarray:
+    """Decode ``num_bits`` per lane from ``(N, samples)`` detector
+    envelopes with known alignment (no sync search).
+
+    Integrates one chip period at a time from ``start_sample``, resolves
+    each lane's polarity from ``pilot_bits`` (a known prefix of the
+    bits; without one positive polarity is assumed, which is correct for
+    static co-phased channels only) and decodes.
+    """
+    if num_bits < 0:
+        raise ValueError("num_bits must be non-negative")
+    if start_sample < 0:
+        raise ValueError("start_sample must be non-negative")
+    env = np.asarray(envelope, dtype=float)
+    if env.ndim != 2:
+        raise ValueError("envelope must be a 2-D (lanes, samples) array")
+    span = num_bits * config.chips_per_bit * config.samples_per_chip
+    segment = env[:, start_sample : start_sample + span]
+    if segment.shape[1] < span:
+        raise ValueError(
+            "incident waveform too short for the requested bit count"
+        )
+    soft = integrate_and_dump(segment, config.samples_per_chip)
+    if pilot_bits is None:
+        return soft_decode_bits_batch(soft, config, 1, adaptive)
+    pilot = np.asarray(pilot_bits).astype(np.uint8)
+    if pilot.size == 0 or pilot.size > num_bits:
+        raise ValueError("pilot must be a non-empty prefix of the bits")
+    polarity = resolve_polarity_batch(soft, pilot, config, adaptive)
+    return soft_decode_bits_batch(soft, config, polarity, adaptive)

@@ -64,6 +64,25 @@ class TestOfdmLikeSource:
             OfdmLikeSource(sample_rate_hz=1e5, bandwidth_hz=2e5)
 
 
+    def test_tone_matrix_cache_is_bounded(self):
+        from repro.ambient.sources import _phase_matrix_for
+
+        for count in range(1, 101):
+            self.src.samples(count, rng=count)
+        assert _phase_matrix_for.cache_info().currsize == 4
+
+    def test_cached_tone_matrix_is_read_only(self):
+        from repro.ambient.sources import _phase_matrix_for
+
+        self.src.samples(64, rng=0)
+        matrix = _phase_matrix_for(
+            64, self.src.sample_rate_hz, self.src.bandwidth_hz,
+            self.src.subcarriers,
+        )
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+
 class TestToneSource:
     def test_constant_envelope(self):
         src = ToneSource(sample_rate_hz=1e5, random_phase=False)
