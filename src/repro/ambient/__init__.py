@@ -21,16 +21,11 @@ from repro.ambient.sources import (
     FilteredNoiseSource,
     OfdmLikeSource,
     ToneSource,
-    make_source,
 )
-from repro.ambient.spectrum import coherence_samples, occupied_bandwidth
 
 __all__ = [
     "AmbientSource",
     "FilteredNoiseSource",
     "OfdmLikeSource",
     "ToneSource",
-    "coherence_samples",
-    "make_source",
-    "occupied_bandwidth",
 ]

@@ -53,11 +53,6 @@ class AmbientSource(ABC):
             out[lane] = self.samples(count, rng)
         return out
 
-    def mean_power(self) -> float:
-        """Nominal mean power of the emitted waveform (always 1.0)."""
-        return 1.0
-
-
 @functools.lru_cache(maxsize=4)
 def _phase_matrix_for(
     n: int, sample_rate_hz: float, bandwidth_hz: float, subcarriers: int
@@ -220,18 +215,3 @@ class FilteredNoiseSource(AmbientSource):
         if power > 0:
             wave /= np.sqrt(power)
         return wave
-
-
-def make_source(kind: str, sample_rate_hz: float, **kwargs) -> AmbientSource:
-    """Factory keyed by name: ``"ofdm"``, ``"tone"`` or ``"noise"``.
-
-    Convenience for sweep configs that select the source by string.
-    """
-    kinds = {
-        "ofdm": OfdmLikeSource,
-        "tone": ToneSource,
-        "noise": FilteredNoiseSource,
-    }
-    if kind not in kinds:
-        raise ValueError(f"unknown source kind {kind!r}; choose from {sorted(kinds)}")
-    return kinds[kind](sample_rate_hz=sample_rate_hz, **kwargs)

@@ -26,7 +26,7 @@ from repro.channel.fading import (
 from repro.channel.geometry import Node, Scene
 from repro.channel.link import ChannelModel, LinkGains
 from repro.channel.mobility import Waypoint, WaypointMobility
-from repro.channel.noise import awgn, complex_awgn
+from repro.channel.noise import complex_awgn
 from repro.channel.pathloss import (
     FreeSpacePathLoss,
     LogDistancePathLoss,
@@ -49,7 +49,6 @@ __all__ = [
     "TwoRayGroundPathLoss",
     "Waypoint",
     "WaypointMobility",
-    "awgn",
     "complex_awgn",
     "make_fading",
 ]

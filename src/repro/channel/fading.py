@@ -16,8 +16,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_non_negative
 
@@ -29,11 +27,6 @@ class BlockFading(ABC):
     def sample(self, rng=None) -> complex:
         """Draw one block's complex channel gain."""
 
-    def sample_many(self, count: int, rng=None) -> np.ndarray:
-        """Draw ``count`` i.i.d. block gains (vectorised where possible)."""
-        gen = ensure_rng(rng)
-        return np.array([self.sample(gen) for _ in range(count)], dtype=complex)
-
 
 @dataclass(frozen=True)
 class NoFading(BlockFading):
@@ -44,9 +37,6 @@ class NoFading(BlockFading):
     def sample(self, rng=None) -> complex:
         return complex(math.cos(self.phase_rad), math.sin(self.phase_rad))
 
-    def sample_many(self, count: int, rng=None) -> np.ndarray:
-        return np.full(count, self.sample(), dtype=complex)
-
 
 @dataclass(frozen=True)
 class RayleighFading(BlockFading):
@@ -56,11 +46,6 @@ class RayleighFading(BlockFading):
         gen = ensure_rng(rng)
         re, im = gen.standard_normal(2) / math.sqrt(2)
         return complex(re, im)
-
-    def sample_many(self, count: int, rng=None) -> np.ndarray:
-        gen = ensure_rng(rng)
-        draws = gen.standard_normal((count, 2)) / math.sqrt(2)
-        return draws[:, 0] + 1j * draws[:, 1]
 
 
 @dataclass(frozen=True)
@@ -82,17 +67,6 @@ class RicianFading(BlockFading):
         re, im = gen.standard_normal(2) * sigma
         phase = gen.uniform(0, 2 * math.pi)
         return complex(los * math.cos(phase) + re, los * math.sin(phase) + im)
-
-    def sample_many(self, count: int, rng=None) -> np.ndarray:
-        gen = ensure_rng(rng)
-        k = self.k_factor
-        los = math.sqrt(k / (k + 1.0))
-        sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-        scatter = gen.standard_normal((count, 2)) * sigma
-        phases = gen.uniform(0, 2 * math.pi, size=count)
-        return (
-            los * np.exp(1j * phases) + scatter[:, 0] + 1j * scatter[:, 1]
-        )
 
 
 def make_fading(kind: str, **kwargs) -> BlockFading:

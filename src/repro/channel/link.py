@@ -71,12 +71,6 @@ class LinkGains:
         """Mean ambient power [W] arriving at ``device`` directly."""
         return self.source_power_watt * abs(self.gain("source", device)) ** 2
 
-    def backscatter_power(self, tx: str, rx: str) -> float:
-        """Mean power [W] at ``rx`` of a full-strength (Γ=1) reflection
-        off ``tx`` — the dyadic source→tx→rx product."""
-        amp = self.gain("source", tx) * self.gain(tx, rx)
-        return self.source_power_watt * abs(amp) ** 2
-
     def received(
         self,
         device: str,

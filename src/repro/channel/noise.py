@@ -23,9 +23,3 @@ def complex_awgn(count: int, power_watt: float, rng=None) -> np.ndarray:
     gen = ensure_rng(rng)
     sigma = np.sqrt(power_watt / 2.0)
     return sigma * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
-
-
-def awgn(x: np.ndarray, noise_power_watt: float, rng=None) -> np.ndarray:
-    """Add complex AWGN of the given power to a waveform."""
-    arr = np.asarray(x, dtype=complex)
-    return arr + complex_awgn(arr.size, noise_power_watt, rng)

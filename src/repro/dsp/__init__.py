@@ -10,21 +10,17 @@ and the models stay at that level of fidelity.
 
 from repro.dsp.envelope import envelope_power, square_law_detector
 from repro.dsp.filters import (
-    decimate_mean,
     integrate_and_dump,
     moving_average,
     single_pole_lowpass,
 )
 from repro.dsp.ops import (
-    bit_errors,
     normalized_correlation,
     repeat_samples,
     sliding_windows,
 )
 
 __all__ = [
-    "bit_errors",
-    "decimate_mean",
     "envelope_power",
     "integrate_and_dump",
     "moving_average",

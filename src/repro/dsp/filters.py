@@ -111,8 +111,3 @@ def integrate_and_dump(x: np.ndarray, period: int) -> np.ndarray:
         return np.empty(arr.shape[:-1] + (0,), dtype=float)
     blocks = arr[..., : nblocks * p].reshape(arr.shape[:-1] + (nblocks, p))
     return blocks.mean(axis=-1)
-
-
-def decimate_mean(x: np.ndarray, factor: int) -> np.ndarray:
-    """Alias of :func:`integrate_and_dump` named for its decimation use."""
-    return integrate_and_dump(x, factor)

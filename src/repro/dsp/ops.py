@@ -62,15 +62,6 @@ def normalized_correlation(x: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
-def bit_errors(sent: np.ndarray, received: np.ndarray) -> int:
-    """Number of differing positions between two equal-length bit arrays."""
-    a = np.asarray(sent)
-    b = np.asarray(received)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a.astype(np.uint8) != b.astype(np.uint8)))
-
-
 def sliding_windows(x: np.ndarray, window: int, step: int = 1) -> np.ndarray:
     """Strided view of overlapping windows (read-only).
 

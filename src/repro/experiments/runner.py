@@ -50,41 +50,32 @@ from repro.utils.validation import check_positive
 #: campaign grid can visit hundreds of distinct specs; every entry pins
 #: sample-rate state, so the cache evicts least-recently-used entries
 #: past this cap instead of growing without limit.
-MAX_CACHED_ENGINES = 32
+MAX_CACHED_STACKS = 32
 
 #: Per-process LRU cache of built stacks, keyed by the (hashable) spec.
 _STACK_CACHE: OrderedDict[ScenarioSpec, ScenarioStack] = OrderedDict()
 
 
-def _cached_engine(
-    cache: OrderedDict, spec: ScenarioSpec, build: Callable,
-    label: str = "engine",
-):
-    """LRU lookup: build on miss, refresh on hit, evict past the cap.
-
-    ``label`` names the obs span and counters (``<label>.build``,
-    ``.hit``, ``.evict``).
-    """
-    engine = cache.get(spec)
-    if engine is None:
-        with obs.span(f"{label}.build"):
-            engine = build(spec)
-        cache[spec] = engine
-        obs.inc(f"{label}.build")
-    else:
-        cache.move_to_end(spec)
-        obs.inc(f"{label}.hit")
-    while len(cache) > MAX_CACHED_ENGINES:
-        cache.popitem(last=False)
-        obs.inc(f"{label}.evict")
-    return engine
-
-
 def _stack_for(spec: ScenarioSpec) -> ScenarioStack:
-    """Build (or reuse) the simulation stack for ``spec`` in this process."""
-    return _cached_engine(
-        _STACK_CACHE, spec, ScenarioSpec.build, label="runner.stack"
-    )
+    """Build (or reuse) the simulation stack for ``spec`` in this process.
+
+    An LRU lookup: build on a miss, refresh on a hit, evict the least
+    recently used stacks past :data:`MAX_CACHED_STACKS`.  Counted as
+    ``runner.stack.build`` / ``.hit`` / ``.evict``.
+    """
+    stack = _STACK_CACHE.get(spec)
+    if stack is None:
+        with obs.span("runner.stack.build"):
+            stack = spec.build()
+        _STACK_CACHE[spec] = stack
+        obs.inc("runner.stack.build")
+    else:
+        _STACK_CACHE.move_to_end(spec)
+        obs.inc("runner.stack.hit")
+    while len(_STACK_CACHE) > MAX_CACHED_STACKS:
+        _STACK_CACHE.popitem(last=False)
+        obs.inc("runner.stack.evict")
+    return stack
 
 
 def _invoke(args) -> dict:

@@ -17,7 +17,6 @@ known) transmission entirely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,15 +189,3 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
     if selected.size == 0:
         return float(values.mean()) if values.size else 0.0
     return float(selected.mean())
-
-
-def repeat_feedback_pattern(
-    pattern: np.ndarray, num_bits: int
-) -> np.ndarray:
-    """Tile a short feedback pattern out to ``num_bits`` bits (protocol
-    streams repeat an ACK pattern until an event flips them)."""
-    arr = np.asarray(pattern).astype(np.uint8)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("pattern must be a non-empty 1-D array")
-    reps = math.ceil(num_bits / arr.size)
-    return np.tile(arr, reps)[:num_bits]

@@ -167,10 +167,3 @@ class FeedbackProtocol:
             if first_nack < num_slots:
                 stream[first_nack:] = NACK_BIT
         return stream
-
-    def first_nack_slot(self, decoded_feedback: np.ndarray) -> int | None:
-        """Transmitter-side rule: index of the first decoded NACK, or
-        ``None`` when the stream is all ACK."""
-        arr = np.asarray(decoded_feedback)
-        hits = np.nonzero(arr == NACK_BIT)[0]
-        return int(hits[0]) if hits.size else None

@@ -77,9 +77,3 @@ class RateAdapter:
             self._streak = 0
             self._index = max(self._index - 1, 0)
         return self.current_rate_bps
-
-    def reset(self) -> None:
-        """Return to the initial rung and clear the streak and history."""
-        self._index = self.start_index
-        self._streak = 0
-        self._history.clear()

@@ -6,16 +6,17 @@ architecture"):
 * an antenna whose impedance is switched between two states by the
   modulator — :mod:`repro.hardware.reflection`;
 * a square-law envelope detector + RC network — :mod:`repro.hardware.detector`;
-* a low-power comparator with hysteresis — :mod:`repro.hardware.comparator`;
 * an RF energy harvester — :mod:`repro.hardware.harvester`;
 * an energy ledger tracking harvest and consumption —
   :mod:`repro.hardware.energy`;
 * :class:`repro.hardware.tag.TagFrontEnd` wiring them together, including
   the self-reception gating that a device's own reflection state imposes
   on its receive path (the physical root of full-duplex self-interference).
+
+The comparator that slices chips is modelled in the PHY, as the
+zero-hysteresis slicer :func:`repro.phy.softdecode.hard_chips_batch`.
 """
 
-from repro.hardware.comparator import HysteresisComparator
 from repro.hardware.detector import EnvelopeDetector
 from repro.hardware.dutycycle import (
     EnergyNeutralController,
@@ -32,7 +33,6 @@ __all__ = [
     "EnergyModel",
     "EnergyNeutralController",
     "EnvelopeDetector",
-    "HysteresisComparator",
     "ReflectionModulator",
     "ReflectionStates",
     "TagFrontEnd",

@@ -96,11 +96,6 @@ class EnergyNeutralController:
         return deficit / harvest_rate_watt
 
     @property
-    def headroom_joule(self) -> float:
-        """Spendable energy above the reserve."""
-        return max(0.0, self.store_joule - self.reserve_joule)
-
-    @property
     def deferral_ratio(self) -> float:
         """Deferred / total admission attempts."""
         total = self.deferred_ops + self.admitted_ops

@@ -90,19 +90,6 @@ class EnergyLedger:
         self.harvested_joule += joule
         self.events.append(("harvest", joule))
 
-    @property
-    def net_joule(self) -> float:
-        """Harvested minus spent — positive means self-sustaining."""
-        return self.harvested_joule - self.spent_joule
-
-    def spent_by_label(self) -> dict[str, float]:
-        """Total consumption per event label (harvest excluded)."""
-        out: dict[str, float] = {}
-        for label, amount in self.events:
-            if amount < 0:
-                out[label] = out.get(label, 0.0) + (-amount)
-        return out
-
     def merge(self, other: "EnergyLedger") -> None:
         """Fold another ledger's totals and events into this one."""
         self.spent_joule += other.spent_joule

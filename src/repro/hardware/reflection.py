@@ -103,14 +103,3 @@ class ReflectionModulator:
             self.states.gamma_for(0),
         ).astype(float)
         return repeat_samples(levels, self.samples_per_chip)
-
-    def through_waveform(self, chips: np.ndarray) -> np.ndarray:
-        """Instantaneous receive-path amplitude fraction for a chip
-        stream (what the device's own detector is scaled by)."""
-        chips = np.asarray(chips).astype(np.uint8)
-        levels = np.where(
-            chips > 0,
-            self.states.through_for(1),
-            self.states.through_for(0),
-        ).astype(float)
-        return repeat_samples(levels, self.samples_per_chip)

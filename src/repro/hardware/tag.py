@@ -1,5 +1,4 @@
-"""The tag front end: antenna, detector, comparator and harvester wired
-together.
+"""The tag front end: antenna, detector and harvester wired together.
 
 :class:`TagFrontEnd` captures the physical coupling at the heart of
 full-duplex backscatter: a single antenna feeds the modulator, the
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dsp.envelope import envelope_power
-from repro.hardware.comparator import HysteresisComparator
 from repro.hardware.detector import EnvelopeDetector
 from repro.hardware.harvester import EnergyHarvester
 from repro.hardware.reflection import ReflectionModulator, ReflectionStates
@@ -37,8 +35,6 @@ class TagFrontEnd:
     ----------
     detector:
         Envelope detector (sets the smoothing time constant).
-    comparator:
-        Output slicer (hysteresis).
     harvester:
         RF→DC converter.
     states:
@@ -47,7 +43,6 @@ class TagFrontEnd:
     """
 
     detector: EnvelopeDetector
-    comparator: HysteresisComparator = field(default_factory=HysteresisComparator)
     harvester: EnergyHarvester = field(default_factory=EnergyHarvester)
     states: ReflectionStates = field(default_factory=ReflectionStates)
 
@@ -118,7 +113,3 @@ class TagFrontEnd:
         return self.harvester.harvested_energy(
             power, self.detector.sample_rate_hz
         )
-
-    def slice(self, envelope: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-        """Comparator decision stream for an envelope/threshold pair."""
-        return self.comparator.compare(envelope, threshold)

@@ -170,19 +170,6 @@ class HalfDuplexArqPolicy(LinkPolicy):
 
         hooks.schedule_bits(self.turnaround_bits, send_ack)
 
-    def exchange_bits(self, packet_bits: int) -> int:
-        """Total airtime of a successful exchange, in bit periods."""
-        return packet_bits + self.turnaround_bits + self.ack_bits
-
-    def timeout_bits(self, packet_bits: int) -> int:
-        """Bit periods from attempt start until the timeout fires."""
-        return (
-            packet_bits
-            + self.turnaround_bits
-            + self.ack_bits
-            + self.timeout_guard_bits
-        )
-
 
 def packet_airtime_bits(payload_bits: int, overhead_bits: int) -> int:
     """Over-the-air size of a data packet."""

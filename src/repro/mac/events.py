@@ -75,22 +75,3 @@ class EventQueue:
             action, entry.action = entry.action, None
             action()
         self.now = end_time
-
-    def run_all(self, max_events: int = 10_000_000) -> None:
-        """Run until the queue drains (with a runaway guard)."""
-        count = 0
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.action is None:
-                continue
-            self.now = entry.time
-            action, entry.action = entry.action, None
-            action()
-            count += 1
-            if count > max_events:
-                raise RuntimeError("event budget exhausted — runaway simulation?")
-
-    @property
-    def pending(self) -> int:
-        """Scheduled (non-cancelled) events still in the queue."""
-        return sum(1 for e in self._heap if e.action is not None)

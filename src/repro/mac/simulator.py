@@ -143,10 +143,6 @@ class _Medium:
         if tx in self._active:
             self._active.remove(tx)
 
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
 
 class SimHooks:
     """The narrow facade policies act through (see

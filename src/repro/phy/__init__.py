@@ -2,7 +2,7 @@
 
 The layer stack, bottom-up:
 
-* :mod:`repro.phy.crc` — CRC-8/16 frame checks;
+* :mod:`repro.phy.crc` — CRC-16 frame checks;
 * :mod:`repro.phy.coding` — DC-balanced line codes (FM0, Manchester, NRZ);
 * :mod:`repro.phy.preamble` — sync patterns and correlation detection;
 * :mod:`repro.phy.framing` — frame build/parse (preamble | length |
@@ -26,7 +26,7 @@ from repro.phy.coding import (
     nrz_encode,
 )
 from repro.phy.config import PhyConfig
-from repro.phy.crc import append_crc16, check_crc16, crc16, crc8
+from repro.phy.crc import append_crc16, check_crc16, crc16
 from repro.phy.framing import Frame, build_frame, parse_frame
 from repro.phy.modulation import chip_waveform, chips_for_bits
 from repro.phy.preamble import default_preamble_bits, preamble_template
@@ -48,7 +48,6 @@ __all__ = [
     "chip_waveform",
     "chips_for_bits",
     "crc16",
-    "crc8",
     "default_preamble_bits",
     "fm0_decode",
     "fm0_encode",

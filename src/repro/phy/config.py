@@ -93,20 +93,10 @@ class PhyConfig:
         return self.samples_per_chip * self.chips_per_bit
 
     @property
-    def bit_period_s(self) -> float:
-        """Duration of one data bit [s]."""
-        return 1.0 / self.bit_rate_bps
-
-    @property
     def smoothing_tau_s(self) -> float:
         """Detector RC time constant [s]."""
         chip_period = 1.0 / self.chip_rate_hz
         return self.smoothing_fraction_of_chip * chip_period
-
-    @property
-    def threshold_window_samples(self) -> int:
-        """Moving-average threshold window in samples."""
-        return self.threshold_window_bits * self.samples_per_bit
 
     @property
     def detector_delay_samples(self) -> int:
@@ -118,9 +108,3 @@ class PhyConfig:
         own, since it searches the same smoothed envelope).
         """
         return int(round(self.smoothing_fraction_of_chip * self.samples_per_chip))
-
-    def with_bit_rate(self, bit_rate_bps: float) -> "PhyConfig":
-        """Copy with a different bit rate (used by rate sweeps)."""
-        from dataclasses import replace
-
-        return replace(self, bit_rate_bps=bit_rate_bps)

@@ -1,10 +1,9 @@
 """Cyclic redundancy checks over bit arrays.
 
-Bit-serial implementations of CRC-8 (poly 0x07) and CRC-16-CCITT
-(poly 0x1021, init 0xFFFF), operating directly on 0/1 ``uint8`` arrays —
-the native currency of the PHY layer.  Bit-serial is exactly how a tag's
-tiny logic computes it, and at frame sizes of a few hundred bits the cost
-is irrelevant.
+A bit-serial implementation of CRC-16-CCITT (poly 0x1021, init 0xFFFF),
+operating directly on 0/1 ``uint8`` arrays — the native currency of the
+PHY layer.  Bit-serial is exactly how a tag's tiny logic computes it,
+and at frame sizes of a few hundred bits the cost is irrelevant.
 """
 
 from __future__ import annotations
@@ -19,19 +18,6 @@ def _as_bits(bits) -> np.ndarray:
     if arr.size and not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must contain only 0 and 1")
     return arr.astype(np.uint8)
-
-
-def crc8(bits) -> np.ndarray:
-    """CRC-8 (poly 0x07, init 0x00) of a bit array, as 8 bits MSB-first."""
-    data = _as_bits(bits)
-    reg = 0
-    for b in data:
-        reg ^= int(b) << 7
-        if reg & 0x80:
-            reg = ((reg << 1) ^ 0x07) & 0xFF
-        else:
-            reg = (reg << 1) & 0xFF
-    return np.array([(reg >> (7 - i)) & 1 for i in range(8)], dtype=np.uint8)
 
 
 def crc16(bits) -> np.ndarray:

@@ -18,8 +18,3 @@ def chip_waveform(chips: np.ndarray, config: PhyConfig) -> np.ndarray:
     """Expand a chip array to a rectangular 0/1 waveform at sample rate."""
     return repeat_samples(np.asarray(chips, dtype=np.uint8),
                           config.samples_per_chip)
-
-
-def bits_to_waveform(bits: np.ndarray, config: PhyConfig) -> np.ndarray:
-    """Bits straight to the sample-level switching waveform."""
-    return chip_waveform(chips_for_bits(bits, config), config)

@@ -38,7 +38,6 @@ from repro.phy.framing import (
 )
 from repro.phy.preamble import default_preamble_bits
 from repro.phy.softdecode import (
-    chip_threshold_batch,
     decode_aligned_batch,
     soft_decode_bits_batch,
 )
@@ -149,11 +148,6 @@ class BackscatterReceiver:
         if segment.size < count * spc:
             return np.empty(0, dtype=float)
         return integrate_and_dump(segment, spc)
-
-    def chip_threshold(self, soft_chips: np.ndarray) -> np.ndarray:
-        """Stage 3: comparator threshold over chip integrals."""
-        soft = np.asarray(soft_chips, dtype=float)
-        return chip_threshold_batch(soft[None], self.config, self.adaptive)[0]
 
     def soft_decode_bits(self, soft_chips: np.ndarray,
                          polarity: int = 1) -> np.ndarray:

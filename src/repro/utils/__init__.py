@@ -17,7 +17,6 @@ from repro.utils.units import (
 from repro.utils.validation import (
     check_in_range,
     check_positive,
-    check_power_of_two,
     check_probability,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "check_in_range",
     "check_positive",
     "check_probability",
-    "check_power_of_two",
     "db_to_linear",
     "dbm_to_watt",
     "ensure_rng",

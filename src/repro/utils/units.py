@@ -14,19 +14,11 @@ converters in this module.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import numpy.typing as npt
 
 #: Speed of light in vacuum [m/s]; used for wavelength / free-space loss.
 SPEED_OF_LIGHT = 299_792_458.0
-
-#: Boltzmann constant [J/K]; used for thermal-noise floors.
-BOLTZMANN = 1.380649e-23
-
-#: Standard noise reference temperature [K].
-T0_KELVIN = 290.0
 
 
 def db_to_linear(value_db: npt.ArrayLike) -> npt.NDArray[np.float64]:
@@ -86,37 +78,3 @@ def wavelength(frequency_hz: float) -> float:
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")
     return SPEED_OF_LIGHT / frequency_hz
-
-
-def thermal_noise_power(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
-    """Thermal noise power [W] in ``bandwidth_hz`` at the reference
-    temperature, degraded by a receiver noise figure.
-
-    ``kTB`` with ``T = 290 K`` gives the familiar −174 dBm/Hz floor.
-    """
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    noise = BOLTZMANN * T0_KELVIN * bandwidth_hz
-    return noise * float(db_to_linear(noise_figure_db))
-
-
-def amplitude_from_power(
-    power_watt: npt.ArrayLike,
-) -> npt.NDArray[np.float64] | float:
-    """Signal amplitude (RMS) corresponding to a mean power.
-
-    For a unit-power complex baseband waveform ``x``, scaling by this
-    amplitude yields mean power ``power_watt``.
-    """
-    arr = np.asarray(power_watt, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("power must be non-negative")
-    out: npt.NDArray[np.float64] = np.sqrt(arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def snr_db(signal_power_watt: float, noise_power_watt: float) -> float:
-    """Signal-to-noise ratio in dB from linear powers."""
-    if signal_power_watt <= 0 or noise_power_watt <= 0:
-        raise ValueError("powers must be positive")
-    return 10.0 * math.log10(signal_power_watt / noise_power_watt)

@@ -40,22 +40,3 @@ def check_in_range(
     if not ok:
         bounds = f"[{low}, {high}]" if inclusive else f"({low}, {high})"
         raise ValueError(f"{name} must be in {bounds}, got {value!r}")
-
-
-def check_power_of_two(name: str, value: int) -> None:
-    """Require ``value`` to be a positive integer power of two."""
-    if not (isinstance(value, int) and value > 0 and value & (value - 1) == 0):
-        raise ValueError(f"{name} must be a positive power of two, got {value!r}")
-
-
-def check_integer_multiple(name: str, value: float, base: float) -> None:
-    """Require ``value`` to be an integer multiple of ``base``.
-
-    Used for sample-rate / bit-rate relationships that the sample-level
-    simulator needs to be exact (e.g. samples per bit).
-    """
-    ratio = value / base
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(
-            f"{name}={value!r} must be an integer multiple of {base!r}"
-        )

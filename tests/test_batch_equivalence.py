@@ -276,28 +276,3 @@ def test_store_round_trip_shares_result_keys(tmp_path, trial_name):
     assert again.table.records == done_s.table.records
     if trial_name == "energy":  # bitwise kinds: identical stored bytes
         assert done_s.table.records == done_v.table.records
-
-
-# ---------------------------------------------------------------------------
-# Engine caches are LRU-bounded.
-# ---------------------------------------------------------------------------
-
-
-def test_engine_caches_are_lru_bounded():
-    from collections import OrderedDict
-
-    from repro.experiments import runner
-
-    # The shared helper: bounded, evicting least-recently-used first.
-    cache = OrderedDict()
-    built = []
-    for i in range(runner.MAX_CACHED_ENGINES + 4):
-        runner._cached_engine(cache, i, lambda s: built.append(s) or s)
-    assert len(built) == runner.MAX_CACHED_ENGINES + 4
-    assert len(cache) == runner.MAX_CACHED_ENGINES
-    assert 0 not in cache and 3 not in cache  # oldest four evicted
-    # A hit refreshes recency: key 4 survives the next eviction, the
-    # untouched key 5 does not.
-    runner._cached_engine(cache, 4, lambda s: pytest.fail("hit rebuilt"))
-    runner._cached_engine(cache, -1, lambda s: s)
-    assert 4 in cache and 5 not in cache

@@ -5,7 +5,7 @@ import pytest
 
 from repro.channel.geometry import Node, Scene
 from repro.channel.link import ChannelModel
-from repro.channel.noise import awgn, complex_awgn
+from repro.channel.noise import complex_awgn
 
 
 class TestNodeScene:
@@ -78,12 +78,6 @@ class TestNoise:
     def test_zero_power_is_silent(self):
         assert np.all(complex_awgn(10, 0.0) == 0)
 
-    def test_awgn_adds(self):
-        x = np.ones(1000, dtype=complex)
-        y = awgn(x, 1e-2, rng=1)
-        assert not np.allclose(y, x)
-        assert np.mean(np.abs(y - x) ** 2) == pytest.approx(1e-2, rel=0.2)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             complex_awgn(10, -1.0)
@@ -114,18 +108,13 @@ class TestChannelModel:
             2 * g1.direct_power("bob")
         )
 
-    def test_backscatter_is_dyadic_product(self):
-        gains = ChannelModel().realize(Scene.two_device_line(1.0), rng=0)
-        expected = gains.source_power_watt * abs(
-            gains.gain("source", "alice") * gains.gain("alice", "bob")
-        ) ** 2
-        assert gains.backscatter_power("alice", "bob") == pytest.approx(expected)
-
     def test_backscatter_much_weaker_than_direct(self):
         gains = ChannelModel().realize(Scene.two_device_line(1.0), rng=0)
-        assert gains.backscatter_power("alice", "bob") < (
-            0.01 * gains.direct_power("bob")
-        )
+        # Full-strength (Γ=1) reflection: the dyadic source→alice→bob path.
+        backscatter = gains.source_power_watt * abs(
+            gains.gain("source", "alice") * gains.gain("alice", "bob")
+        ) ** 2
+        assert backscatter < 0.01 * gains.direct_power("bob")
 
 
 class TestReceivedComposition:

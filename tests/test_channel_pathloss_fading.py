@@ -88,6 +88,12 @@ class TestTwoRay:
         assert m.gain(dc * 0.999) == pytest.approx(m.gain(dc * 1.001), rel=0.02)
 
 
+def _draws(model, count, seed):
+    """``count`` block gains drawn one at a time, as the channel does."""
+    gen = np.random.default_rng(seed)
+    return np.array([model.sample(gen) for _ in range(count)])
+
+
 class TestFading:
     def test_no_fading_unit_gain(self):
         h = NoFading().sample()
@@ -99,34 +105,26 @@ class TestFading:
         assert h.imag == pytest.approx(1.0)
 
     def test_rayleigh_unit_mean_power(self):
-        hs = RayleighFading().sample_many(20_000, rng=0)
+        hs = _draws(RayleighFading(), 20_000, 0)
         assert np.mean(np.abs(hs) ** 2) == pytest.approx(1.0, rel=0.05)
 
     def test_rayleigh_zero_mean(self):
-        hs = RayleighFading().sample_many(20_000, rng=1)
+        hs = _draws(RayleighFading(), 20_000, 1)
         assert abs(hs.mean()) < 0.02
 
     def test_rician_unit_mean_power(self):
-        hs = RicianFading(k_factor=4.0).sample_many(20_000, rng=2)
+        hs = _draws(RicianFading(k_factor=4.0), 20_000, 2)
         assert np.mean(np.abs(hs) ** 2) == pytest.approx(1.0, rel=0.05)
 
     def test_rician_k_zero_matches_rayleigh_spread(self):
-        hs = RicianFading(k_factor=0.0).sample_many(20_000, rng=3)
+        hs = _draws(RicianFading(k_factor=0.0), 20_000, 3)
         # envelope^2 of Rayleigh is exponential: std/mean = 1.
         p = np.abs(hs) ** 2
         assert p.std() / p.mean() == pytest.approx(1.0, rel=0.1)
 
     def test_large_k_is_nearly_static(self):
-        hs = RicianFading(k_factor=1000.0).sample_many(5000, rng=4)
+        hs = _draws(RicianFading(k_factor=1000.0), 5000, 4)
         assert np.abs(hs).std() < 0.05
-
-    def test_sample_many_matches_scalar_statistics(self):
-        gen = np.random.default_rng(5)
-        scalar = np.array([RayleighFading().sample(gen) for _ in range(5000)])
-        vector = RayleighFading().sample_many(5000, np.random.default_rng(6))
-        assert np.mean(np.abs(scalar) ** 2) == pytest.approx(
-            np.mean(np.abs(vector) ** 2), rel=0.1
-        )
 
     def test_factory(self):
         assert isinstance(make_fading("static"), NoFading)

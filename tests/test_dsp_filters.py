@@ -5,7 +5,6 @@ import pytest
 
 from repro.dsp.filters import (
     alpha_for_time_constant,
-    decimate_mean,
     integrate_and_dump,
     moving_average,
     single_pole_lowpass,
@@ -145,10 +144,6 @@ class TestIntegrateAndDump:
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
             integrate_and_dump(np.ones(4), 0)
-
-    def test_decimate_mean_alias(self):
-        x = np.arange(8.0)
-        assert np.array_equal(decimate_mean(x, 4), integrate_and_dump(x, 4))
 
     def test_rejects_3d(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dsp.ops import (
-    bit_errors,
     normalized_correlation,
     repeat_samples,
     sliding_windows,
@@ -73,19 +72,6 @@ class TestNormalizedCorrelation:
         corr = normalized_correlation(rng.standard_normal(200),
                                       rng.standard_normal(10))
         assert np.all(corr <= 1.0) and np.all(corr >= -1.0)
-
-
-class TestBitErrors:
-    def test_counts(self):
-        assert bit_errors(np.array([0, 1, 1]), np.array([1, 1, 0])) == 2
-
-    def test_zero_for_equal(self):
-        bits = np.array([0, 1, 0, 1])
-        assert bit_errors(bits, bits) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bit_errors(np.ones(3), np.ones(4))
 
 
 class TestSlidingWindows:

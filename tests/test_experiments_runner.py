@@ -251,23 +251,27 @@ class TestVectorizedBackend:
 
 class TestStackCache:
     def test_stack_cache_is_lru_bounded(self):
-        # Every cached engine pins its stack, so the stack cache must
-        # share the engine caches' cap or their eviction frees nothing.
+        # Every cached stack pins sample-rate state, so a campaign grid
+        # of many specs must not grow the cache past its cap.
         from repro.experiments import runner
 
         runner._STACK_CACHE.clear()
         specs = [
             FAST_SPEC.replace(distance_m=0.1 * (i + 1))
-            for i in range(runner.MAX_CACHED_ENGINES + 4)
+            for i in range(runner.MAX_CACHED_STACKS + 5)
         ]
-        for spec in specs:
+        for spec in specs[:-1]:
             runner._stack_for(spec)
-        assert len(runner._STACK_CACHE) == runner.MAX_CACHED_ENGINES
-        assert list(runner._STACK_CACHE) == specs[4:]
+        assert len(runner._STACK_CACHE) == runner.MAX_CACHED_STACKS
+        assert list(runner._STACK_CACHE) == specs[4:-1]
         # A hit returns the cached stack itself and refreshes it.
         stack = runner._STACK_CACHE[specs[4]]
         assert runner._stack_for(specs[4]) is stack
         assert list(runner._STACK_CACHE)[-1] == specs[4]
+        # So the next eviction takes the untouched specs[5], not specs[4].
+        runner._stack_for(specs[-1])
+        assert specs[4] in runner._STACK_CACHE
+        assert specs[5] not in runner._STACK_CACHE
         runner._STACK_CACHE.clear()
 
 

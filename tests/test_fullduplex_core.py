@@ -8,7 +8,6 @@ from repro.fullduplex.feedback import (
     FeedbackDecoder,
     feedback_bits_for_frame,
     feedback_waveform,
-    repeat_feedback_pattern,
 )
 from repro.fullduplex.selfinterference import (
     compensate_envelope,
@@ -119,12 +118,6 @@ class TestFeedbackWaveform:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             feedback_waveform(np.array([2]), self._config())
-
-    def test_repeat_pattern(self):
-        out = repeat_feedback_pattern(np.array([1, 0]), 5)
-        assert np.array_equal(out, [1, 0, 1, 0, 1])
-        with pytest.raises(ValueError):
-            repeat_feedback_pattern(np.empty(0), 3)
 
 
 class TestFeedbackDecoder:

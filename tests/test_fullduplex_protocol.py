@@ -136,11 +136,6 @@ class TestFeedbackProtocol:
         p = self._protocol()
         assert np.all(p.feedback_stream(5, None) == ACK_BIT)
 
-    def test_first_nack_slot(self):
-        p = self._protocol()
-        assert p.first_nack_slot(np.array([1, 1, 0, 0])) == 2
-        assert p.first_nack_slot(np.array([1, 1, 1])) is None
-
     def test_invalid_args(self):
         p = self._protocol()
         with pytest.raises(ValueError):
@@ -180,14 +175,12 @@ class TestRateAdapter:
             ra.record(True)
         assert ra.current_rate_bps == ra.rates_bps[-1]
 
-    def test_history_and_reset(self):
+    def test_history_logs_rate_and_outcome(self):
         ra = RateAdapter(raise_after=2)
+        first = ra.current_rate_bps
         ra.record(True)
         ra.record(False)
-        assert len(ra.history) == 2
-        ra.reset()
-        assert ra.history == []
-        assert ra.current_rate_bps == ra.rates_bps[ra.start_index]
+        assert ra.history == [(first, True), (first, False)]
 
     def test_rejects_bad_ladder(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,9 @@
-"""Hardware-model tests: reflection, detector, comparator, harvester,
-energy ledger, tag front end."""
+"""Hardware-model tests: reflection, detector, harvester, energy ledger,
+tag front end."""
 
 import numpy as np
 import pytest
 
-from repro.hardware.comparator import HysteresisComparator
 from repro.hardware.detector import EnvelopeDetector
 from repro.hardware.energy import EnergyLedger, EnergyModel
 from repro.hardware.harvester import EnergyHarvester
@@ -49,14 +48,6 @@ class TestReflectionModulator:
         wave = mod.reflection_waveform(np.array([1, 0]))
         assert np.allclose(wave, [0.5, 0.5, 0.0, 0.0])
 
-    def test_through_waveform_levels(self):
-        s = ReflectionStates(absorb_gamma=0.0, reflect_gamma=0.6,
-                             efficiency=1.0)
-        mod = ReflectionModulator(states=s, samples_per_chip=1)
-        thru = mod.through_waveform(np.array([0, 1]))
-        assert thru[0] == pytest.approx(1.0)
-        assert thru[1] == pytest.approx(np.sqrt(1 - 0.36))
-
     def test_rejects_bad_spc(self):
         with pytest.raises(ValueError):
             ReflectionModulator(samples_per_chip=0)
@@ -72,40 +63,6 @@ class TestEnvelopeDetector:
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             EnvelopeDetector(sample_rate_hz=1e5, smoothing_tau_seconds=0.0)
-
-
-class TestHysteresisComparator:
-    def test_plain_comparator(self):
-        c = HysteresisComparator()
-        out = c.compare(np.array([0.5, 1.5]), np.array([1.0, 1.0]))
-        assert np.array_equal(out, [0, 1])
-
-    def test_holds_inside_deadband(self):
-        c = HysteresisComparator(hysteresis=0.2)
-        env = np.array([2.0, 1.1, 0.95, 0.5, 1.05, 1.5])
-        thr = np.ones(6)
-        out = c.compare(env, thr)
-        # 2.0 -> forced 1; 1.1 and 0.95 inside [0.8, 1.2] -> hold 1;
-        # 0.5 -> forced 0; 1.05 inside -> hold 0; 1.5 -> forced 1.
-        assert np.array_equal(out, [1, 1, 1, 0, 0, 1])
-
-    def test_initial_state_until_decisive(self):
-        c = HysteresisComparator(hysteresis=0.5, initial_state=1)
-        out = c.compare(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        assert np.array_equal(out, [1, 1])
-
-    def test_all_indecisive(self):
-        c = HysteresisComparator(hysteresis=1.0, initial_state=0)
-        out = c.compare(np.full(4, 1.0), np.full(4, 1.0))
-        assert np.array_equal(out, [0, 0, 0, 0])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            HysteresisComparator().compare(np.ones(3), np.ones(2))
-
-    def test_rejects_bad_initial_state(self):
-        with pytest.raises(ValueError):
-            HysteresisComparator(initial_state=2)
 
 
 class TestEnergyHarvester:
@@ -170,23 +127,14 @@ class TestEnergyLedger:
         led.harvest(5e-9)
         assert led.spent_joule == pytest.approx(3e-9)
         assert led.harvested_joule == pytest.approx(5e-9)
-        assert led.net_joule == pytest.approx(2e-9)
-
-    def test_by_label(self):
-        led = EnergyLedger()
-        led.spend("tx", 1e-9)
-        led.spend("tx", 1e-9)
-        led.spend("rx", 3e-9)
-        by = led.spent_by_label()
-        assert by["tx"] == pytest.approx(2e-9)
-        assert by["rx"] == pytest.approx(3e-9)
 
     def test_merge(self):
         a, b = EnergyLedger(), EnergyLedger()
         a.spend("tx", 1e-9)
         b.harvest(2e-9)
         a.merge(b)
-        assert a.net_joule == pytest.approx(1e-9)
+        assert a.spent_joule == pytest.approx(1e-9)
+        assert a.harvested_joule == pytest.approx(2e-9)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

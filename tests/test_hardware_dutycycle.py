@@ -54,12 +54,6 @@ class TestHarvestAccumulation:
         ctrl.harvest_for(2.0, 5e-8)  # 100 nJ
         assert ctrl.store_joule == pytest.approx(1e-7)
 
-    def test_headroom(self):
-        ctrl = _controller(store_joule=1.5e-7, reserve_joule=5e-8)
-        assert ctrl.headroom_joule == pytest.approx(1e-7)
-        ctrl2 = _controller(store_joule=1e-8)
-        assert ctrl2.headroom_joule == 0.0
-
 
 class TestWaitFor:
     def test_zero_when_affordable(self):

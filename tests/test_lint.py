@@ -367,12 +367,12 @@ class TestApiRules:
     def test_api002_public_name_missing_from_all(self):
         src = """\
         from repro.phy.config import PhyConfig
-        from repro.phy.crc import crc8
+        from repro.phy.crc import crc16
         __all__ = ["PhyConfig"]
         """
         out = findings_for(src, "src/repro/sub/__init__.py")
         assert rule_ids(out) == ["API002"]
-        assert "crc8" in out[0].message
+        assert "crc16" in out[0].message
 
     def test_api002_stale_entry(self):
         src = '__all__ = ["missing_name"]\n'

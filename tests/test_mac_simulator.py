@@ -168,12 +168,6 @@ class TestPolicies:
         assert p.abort_bit(31, 1000) == 96
         assert p.abort_bit(990, 1000) is None
 
-    def test_hd_exchange_accounting(self):
-        p = HalfDuplexArqPolicy(ack_bits=45, turnaround_bits=8,
-                                timeout_guard_bits=8)
-        assert p.exchange_bits(512) == 512 + 8 + 45
-        assert p.timeout_bits(512) == 512 + 8 + 45 + 8
-
     def test_feedback_slots(self):
         p = FullDuplexAbortPolicy(asymmetry_ratio=64)
         assert p.feedback_slots(640) == 10

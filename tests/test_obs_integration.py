@@ -134,60 +134,65 @@ class TestCorruptEntryPath:
 
 
 class TestEngineCacheChurn:
-    def test_lru_eviction_order_and_metrics(self, monkeypatch):
+    """The runner's per-process stack cache (``_stack_for``): LRU order
+    and its ``runner.stack.*`` counters."""
+
+    @pytest.fixture
+    def stack_cache(self, monkeypatch):
+        """A fresh, empty cache whose builds are logged, not run."""
         from collections import OrderedDict
 
         from repro.experiments import runner
 
-        monkeypatch.setattr(runner, "MAX_CACHED_ENGINES", 2)
-        cache = OrderedDict()
-        specs = [FAST_SPEC.replace(distance_m=d) for d in (0.4, 0.5, 0.6)]
+        monkeypatch.setattr(runner, "_STACK_CACHE", OrderedDict())
         built = []
 
         def build(spec):
             built.append(spec.distance_m)
             return object()
 
+        monkeypatch.setattr(ScenarioSpec, "build", build)
+        return runner, built
+
+    def test_lru_eviction_order_and_metrics(self, monkeypatch, stack_cache):
+        runner, built = stack_cache
+        monkeypatch.setattr(runner, "MAX_CACHED_STACKS", 2)
+        specs = [FAST_SPEC.replace(distance_m=d) for d in (0.4, 0.5, 0.6)]
+
         session = obs.start()
         # fill: build A, B; hit A (refreshes A over B)
-        runner._cached_engine(cache, specs[0], build, label="batch.phy_engine")
-        runner._cached_engine(cache, specs[1], build, label="batch.phy_engine")
-        a = runner._cached_engine(cache, specs[0], build, label="batch.phy_engine")
+        runner._stack_for(specs[0])
+        runner._stack_for(specs[1])
+        a = runner._stack_for(specs[0])
         # C overflows the cap: B is LRU and must be evicted, A survives
-        runner._cached_engine(cache, specs[2], build, label="batch.phy_engine")
+        runner._stack_for(specs[2])
         obs.stop()
 
         assert built == [0.4, 0.5, 0.6]
-        assert list(cache) == [specs[0], specs[2]]
+        assert list(runner._STACK_CACHE) == [specs[0], specs[2]]
         # A evicted? no: the refreshed A is still cached
-        assert runner._cached_engine(
-            cache, specs[0], build, label="batch.phy_engine"
-        ) is a
+        assert runner._stack_for(specs[0]) is a
         counters = session.metrics.snapshot()["counters"]
-        assert counters["batch.phy_engine.build"] == 3
-        assert counters["batch.phy_engine.hit"] == 1
-        assert counters["batch.phy_engine.evict"] == 1
+        assert counters["runner.stack.build"] == 3
+        assert counters["runner.stack.hit"] == 1
+        assert counters["runner.stack.evict"] == 1
 
-    def test_rebuild_after_eviction_counts_as_build(self, monkeypatch):
-        from collections import OrderedDict
-
-        from repro.experiments import runner
-
-        monkeypatch.setattr(runner, "MAX_CACHED_ENGINES", 1)
-        cache = OrderedDict()
+    def test_rebuild_after_eviction_counts_as_build(self, monkeypatch,
+                                                    stack_cache):
+        runner, built = stack_cache
+        monkeypatch.setattr(runner, "MAX_CACHED_STACKS", 1)
         specs = [FAST_SPEC.replace(distance_m=d) for d in (0.4, 0.5)]
 
         session = obs.start()
         for spec in (specs[0], specs[1], specs[0], specs[1]):
-            runner._cached_engine(
-                cache, spec, lambda s: object(), label="batch.mac_engine"
-            )
+            runner._stack_for(spec)
         obs.stop()
         counters = session.metrics.snapshot()["counters"]
         # every call misses: the single slot thrashes
-        assert counters["batch.mac_engine.build"] == 4
-        assert counters["batch.mac_engine.evict"] == 3
-        assert counters.get("batch.mac_engine.hit", 0) == 0
+        assert built == [0.4, 0.5, 0.4, 0.5]
+        assert counters["runner.stack.build"] == 4
+        assert counters["runner.stack.evict"] == 3
+        assert counters.get("runner.stack.hit", 0) == 0
 
 
 class TestCampaignTraceReconciliation:

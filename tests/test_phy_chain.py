@@ -12,7 +12,8 @@ from repro.phy import (
     PhyConfig,
 )
 from repro.phy.framing import random_frame
-from repro.phy.modulation import bits_to_waveform, chip_waveform, chips_for_bits
+from repro.phy.modulation import chip_waveform, chips_for_bits
+from repro.phy.softdecode import chip_threshold_batch
 from repro.phy.sync import acquire_frame_start
 from repro.utils.rng import random_bits
 
@@ -39,11 +40,6 @@ class TestModulation:
         wave = chip_waveform(chips, fast_phy)
         assert wave.size == 2 * fast_phy.samples_per_chip
         assert np.all(wave[: fast_phy.samples_per_chip] == 1)
-
-    def test_bits_to_waveform_length(self, fast_phy):
-        bits = random_bits(0, 10)
-        wave = bits_to_waveform(bits, fast_phy)
-        assert wave.size == 10 * fast_phy.samples_per_bit
 
     def test_chips_match_coding(self, fast_phy):
         bits = np.array([1, 0, 1], dtype=np.uint8)
@@ -193,5 +189,5 @@ class TestFramedReception:
     def test_fixed_threshold_ablation_object(self, fast_phy):
         rx = BackscatterReceiver(fast_phy, adaptive=False)
         soft = np.tile([1.0, 3.0], 32)
-        thr = rx.chip_threshold(soft)
+        thr = chip_threshold_batch(soft[None], rx.config, rx.adaptive)[0]
         assert np.allclose(thr, 2.0)

@@ -13,7 +13,7 @@ from repro.phy.coding import (
     nrz_decode,
     nrz_encode,
 )
-from repro.phy.crc import append_crc16, check_crc16, crc16, crc8
+from repro.phy.crc import append_crc16, check_crc16, crc16
 
 
 class TestCrc:
@@ -24,14 +24,6 @@ class TestCrc:
         for b in crc16(data):
             reg = (reg << 1) | int(b)
         assert reg == 0x29B1
-
-    def test_crc8_known_vector(self):
-        # CRC-8 (poly 0x07, init 0) of "123456789" is 0xF4.
-        data = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
-        reg = 0
-        for b in crc8(data):
-            reg = (reg << 1) | int(b)
-        assert reg == 0xF4
 
     def test_append_and_check_roundtrip(self):
         rng = np.random.default_rng(0)

@@ -124,11 +124,6 @@ class TestPhyConfig:
         assert cfg.chip_rate_hz == pytest.approx(2000.0)
         assert cfg.samples_per_chip == 128
         assert cfg.samples_per_bit == 256
-        assert cfg.bit_period_s == pytest.approx(1e-3)
-
-    def test_threshold_window_samples(self):
-        cfg = PhyConfig(threshold_window_bits=4)
-        assert cfg.threshold_window_samples == 4 * cfg.samples_per_bit
 
     def test_nrz_has_one_chip_per_bit(self):
         cfg = PhyConfig(coding="nrz")
@@ -145,11 +140,6 @@ class TestPhyConfig:
     def test_rejects_unknown_coding(self):
         with pytest.raises(ValueError):
             PhyConfig(coding="plaid")
-
-    def test_with_bit_rate(self):
-        cfg = PhyConfig().with_bit_rate(2_000.0)
-        assert cfg.bit_rate_bps == 2_000.0
-        assert cfg.samples_per_chip == 64
 
     def test_detector_delay(self):
         cfg = PhyConfig(smoothing_fraction_of_chip=0.125)

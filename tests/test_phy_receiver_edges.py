@@ -7,6 +7,7 @@ from repro.ambient import ToneSource
 from repro.channel import ChannelModel, Scene
 from repro.phy import BackscatterReceiver, BackscatterTransmitter, PhyConfig
 from repro.phy.framing import random_frame
+from repro.phy.softdecode import chip_threshold_batch, hard_chips_batch
 from repro.utils.rng import random_bits
 
 
@@ -109,6 +110,24 @@ class TestThresholdAblation:
         rx = BackscatterReceiver(fast_phy)
         decoded = rx.soft_decode_bits(soft)
         assert np.array_equal(decoded, bits)
+
+
+class TestHardChipSlicer:
+    """The comparator is a zero-hysteresis strict ``>`` slicer: a chip
+    strictly above its lane's threshold is 1, one equal to or below is 0."""
+
+    def test_strict_greater_than_per_lane(self, fast_phy):
+        d = 2.0**-20
+        # adaptive=False thresholds each lane at its run mean: 2.0 and 4.0.
+        soft = np.array([
+            [1.0, 3.0, 2.0, 2.0, 2.0],
+            [0.0, 8.0, 4.0, 4.0 + d, 4.0 - d],
+        ])
+        thr = chip_threshold_batch(soft, fast_phy, adaptive=False)
+        assert np.array_equal(thr, [[2.0] * 5, [4.0] * 5])
+        hard = hard_chips_batch(soft, fast_phy, adaptive=False)
+        assert hard.dtype == np.uint8
+        assert np.array_equal(hard, [[0, 1, 0, 0, 0], [0, 1, 0, 1, 0]])
 
 
 class TestSoftChipsBoundaries:

@@ -9,7 +9,7 @@ from repro.dsp.filters import (
     moving_average,
     single_pole_lowpass,
 )
-from repro.dsp.ops import bit_errors, repeat_samples
+from repro.dsp.ops import repeat_samples
 from repro.fullduplex.config import FullDuplexConfig
 from repro.fullduplex.protocol import FeedbackProtocol
 from repro.hardware.energy import EnergyModel
@@ -104,13 +104,6 @@ class TestDspProperties:
         wave = repeat_samples(bits, factor)
         back = integrate_and_dump(wave.astype(float), factor)
         assert np.array_equal((back > 0.5).astype(np.uint8), bits)
-
-    @given(a=nonempty_bits)
-    def test_bit_errors_identity_and_symmetry(self, a):
-        b = 1 - a
-        assert bit_errors(a, a) == 0
-        assert bit_errors(a, b) == a.size
-
 
 class TestProtocolProperties:
     @given(
@@ -354,22 +347,3 @@ class TestBatchedWaveformProperties:
                     batch[row],
                     source.samples(count, np.random.default_rng(seed)),
                 )
-
-
-class TestEnergyLedgerProperties:
-    @given(
-        amounts=st.lists(st.floats(0, 1e-3), min_size=0, max_size=30),
-    )
-    def test_net_is_harvest_minus_spend(self, amounts):
-        from repro.hardware.energy import EnergyLedger
-
-        led = EnergyLedger()
-        total_spent = total_harvested = 0.0
-        for i, a in enumerate(amounts):
-            if i % 2:
-                led.spend("op", a)
-                total_spent += a
-            else:
-                led.harvest(a)
-                total_harvested += a
-        assert led.net_joule == np.float64(total_harvested) - total_spent

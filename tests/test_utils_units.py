@@ -7,12 +7,9 @@ import pytest
 
 from repro.utils.units import (
     SPEED_OF_LIGHT,
-    amplitude_from_power,
     db_to_linear,
     dbm_to_watt,
     linear_to_db,
-    snr_db,
-    thermal_noise_power,
     watt_to_dbm,
     wavelength,
 )
@@ -67,43 +64,3 @@ class TestWavelength:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             wavelength(0.0)
-
-
-class TestNoiseAndSnr:
-    def test_thermal_floor_minus_174dbm_per_hz(self):
-        p = thermal_noise_power(1.0)
-        assert watt_to_dbm(p) == pytest.approx(-173.98, abs=0.1)
-
-    def test_noise_figure_adds_db(self):
-        base = thermal_noise_power(1e3)
-        raised = thermal_noise_power(1e3, noise_figure_db=6.0)
-        assert linear_to_db(raised / base) == pytest.approx(6.0)
-
-    def test_bandwidth_scales_linearly(self):
-        assert thermal_noise_power(2e3) == pytest.approx(
-            2 * thermal_noise_power(1e3)
-        )
-
-    def test_rejects_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            thermal_noise_power(0.0)
-
-    def test_snr_db(self):
-        assert snr_db(1e-6, 1e-9) == pytest.approx(30.0)
-
-    def test_snr_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            snr_db(0.0, 1.0)
-
-
-class TestAmplitude:
-    def test_amplitude_squares_to_power(self):
-        assert amplitude_from_power(4.0) == pytest.approx(2.0)
-
-    def test_vectorised(self):
-        out = amplitude_from_power(np.array([1.0, 9.0]))
-        assert np.allclose(out, [1.0, 3.0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            amplitude_from_power(-1.0)

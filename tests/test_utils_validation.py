@@ -4,10 +4,8 @@ import pytest
 
 from repro.utils.validation import (
     check_in_range,
-    check_integer_multiple,
     check_non_negative,
     check_positive,
-    check_power_of_two,
     check_probability,
 )
 
@@ -54,23 +52,3 @@ class TestCheckInRange:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             check_in_range("x", 3.0, 1.0, 2.0)
-
-
-class TestPowerOfTwo:
-    @pytest.mark.parametrize("ok", [1, 2, 4, 64, 1024])
-    def test_accepts(self, ok):
-        check_power_of_two("n", ok)
-
-    @pytest.mark.parametrize("bad", [0, 3, 6, -4, 2.0])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            check_power_of_two("n", bad)
-
-
-class TestIntegerMultiple:
-    def test_accepts_exact(self):
-        check_integer_multiple("fs", 256_000.0, 2_000.0)
-
-    def test_rejects_fractional(self):
-        with pytest.raises(ValueError):
-            check_integer_multiple("fs", 250_001.0, 2_000.0)
