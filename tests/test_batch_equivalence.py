@@ -276,3 +276,31 @@ def test_store_round_trip_shares_result_keys(tmp_path, trial_name):
     assert again.table.records == done_s.table.records
     if trial_name == "energy":  # bitwise kinds: identical stored bytes
         assert done_s.table.records == done_v.table.records
+
+
+def test_engine_caches_are_lru_bounded(monkeypatch):
+    from repro.experiments import batch, runner
+
+    # The batch engines are built over the runner's one stack cache, so
+    # that cache bounds everything a vectorized campaign keeps per spec.
+    assert batch._stack_for is runner._stack_for
+    base = get_scenario(SMOKE_SCENARIO)
+    specs = [
+        base.replace(distance_m=0.1 * (i + 1))
+        for i in range(runner.MAX_CACHED_STACKS + 5)
+    ]
+    runner._STACK_CACHE.clear()
+    for spec in specs[:-1]:
+        batch._stack_for(spec)
+    assert len(runner._STACK_CACHE) == runner.MAX_CACHED_STACKS
+    assert specs[0] not in runner._STACK_CACHE  # oldest four evicted
+    assert specs[3] not in runner._STACK_CACHE
+    # A hit rebuilds nothing and refreshes recency: specs[4] survives the
+    # next eviction, the untouched specs[5] does not.
+    with monkeypatch.context() as m:
+        m.setattr(type(base), "build", lambda self: pytest.fail("hit rebuilt"))
+        batch._stack_for(specs[4])
+    batch._stack_for(specs[-1])
+    assert specs[4] in runner._STACK_CACHE
+    assert specs[5] not in runner._STACK_CACHE
+    runner._STACK_CACHE.clear()
